@@ -81,6 +81,20 @@ def solver_metrics(tracer: Tracer, suffix: str = "") -> dict:
     return out
 
 
+def enclosing(spans, names) -> dict[int, int]:
+    """Index of the span named in ``names`` that each span lies in.
+
+    Spans with such a name map to themselves; spans in none are left out.
+    """
+    home = {}
+    for i, span in enumerate(spans):
+        if span.name in names:
+            home[i] = i
+        elif span.parent in home:
+            home[i] = home[span.parent]
+    return home
+
+
 def layer_metrics(tracer: Tracer, nobs: int, nens: int) -> dict:
     spans = tracer.spans
     own = tracer.self_ns()
@@ -88,17 +102,13 @@ def layer_metrics(tracer: Tracer, nobs: int, nens: int) -> dict:
     for span in spans:
         calls[span.name].append(span.ns / 1e6)
 
-    # the run, set-up and cycle each span encloses
-    enclosing = {}
+    # sums over the spans inside each set-up and each cycle
     per_setup = defaultdict(lambda: defaultdict(float))
     per_cycle = defaultdict(lambda: defaultdict(float))
-    for i, span in enumerate(spans):
-        if span.name in ("experiment.setup", "experiment.cycle"):
-            enclosing[i] = i
-        elif span.parent in enclosing:
-            enclosing[i] = enclosing[span.parent]
-        if i in enclosing and enclosing[i] != i:
-            home = enclosing[i]
+    homes = enclosing(spans, ("experiment.setup", "experiment.cycle"))
+    for i, home in homes.items():
+        if home != i:
+            span = spans[i]
             table = per_setup if spans[home].name == "experiment.setup" else per_cycle
             table[home][span.name] += span.ns / 1e6
             table[home][span.name + "#calls"] += 1
@@ -160,26 +170,3 @@ def layer_metrics(tracer: Tracer, nobs: int, nens: int) -> dict:
         out[f"enkf.analysis_ms_p50.{s}"] = _p(analysis[s], 50)
     out.update(solver_metrics(tracer))
     return out
-
-
-def cycle_accounting(tracer: Tracer) -> dict:
-    """Self time per layer summed over cycles, against the cycles' time.
-
-    The self times inside a cycle add up to the cycle's duration; the
-    cycle's own self time is the driver loop between layer calls.
-    """
-    spans = tracer.spans
-    own = tracer.self_ns()
-    in_cycle = {}
-    by_layer = defaultdict(int)
-    total = 0
-    for i, span in enumerate(spans):
-        if span.name == "experiment.cycle":
-            in_cycle[i] = True
-            total += span.ns
-        elif span.parent in in_cycle:
-            in_cycle[i] = True
-        else:
-            continue
-        by_layer[span.name] += own[i]
-    return {"cycle_ns": total, "self_ns": dict(by_layer)}

@@ -56,13 +56,13 @@ def peak_rss_mb() -> float:
 
 
 def measure(workload, seed, seconds, outdir, reference, tracer=None,
-            setup_repeats=0):
+            setup_passes=False):
     import workloads as w
 
     if workload == "tall-obs":
         return w.measure_tall(seed, seconds)
     return w.measure_twin(workload, seed, seconds, outdir, reference,
-                          tracer, setup_repeats)
+                          tracer, setup_passes)
 
 
 def solve_capture(limit: int):
@@ -161,7 +161,6 @@ def traced_run(workload, seed, seconds, outdir, reference):
     metrics["trace.overhead_pct"] = 100.0 * (unit_total(traced)
                                              / unit_total(plain) - 1.0)
     tracer.write(outdir / "spans.json")
-    accounting = layers.cycle_accounting(tracer)
     problems = [p for m in plain + traced for p in m.problems]
     attempted = sum(m.attempted for m in plain + traced)
     failed = sum(m.failed for m in plain + traced)
@@ -175,7 +174,7 @@ def traced_run(workload, seed, seconds, outdir, reference):
         failed += 1
     reported = {m: {"value": metrics[m], "unit": layers.unit(m)}
                 for m in layers.COMMON if metrics.get(m) is not None}
-    extra = {"all_layer_metrics": metrics, "cycle_accounting": accounting}
+    extra = {"all_layer_metrics": metrics}
     return reported, attempted, failed, problems, extra
 
 
@@ -183,7 +182,7 @@ def untraced_run(workload, seed, seconds, outdir, reference):
     import workloads as w
 
     measured = measure(workload, seed, seconds, outdir, reference,
-                       setup_repeats=w.SETUP_REPEATS)
+                       setup_passes=True)
     if workload == "tall-obs":
         w.tall_final_checks(measured)
     metrics, notes = w.end_to_end(measured, peak_rss_mb())

@@ -19,14 +19,13 @@ import dataclasses
 import hashlib
 import json
 import statistics
-import time
 from pathlib import Path
 
 import numpy as np
 
 from enkfkit import enkf, experiment, sherman, solvers
 
-from spans import Tracer, patch, unpatch
+from spans import Tracer, clock, patch, unpatch
 
 WORKLOADS = ("lorenz-small", "lorenz-500", "qg33-short", "tall-obs")
 SOLVERS = ("sherman", "cholesky", "svd")
@@ -36,11 +35,6 @@ SOLVERS = ("sherman", "cholesky", "svd")
 # one run_experiment takes about 3 s at default BLAS threads and a run holds
 # several of them.
 LORENZ500_STEPS = 10
-
-# Twin workloads make a set-up-only pass (run_experiment stopped at its first
-# forecast) before each of their first SETUP_REPEATS runs; setup_s is the
-# median over these and the set-ups of all runs.
-SETUP_REPEATS = 5
 
 # --seed picks one of SEED_SETS seed triples: index k adds k to each of the
 # preset's truth, ensemble and observation seeds (k = 0 is the preset as
@@ -69,8 +63,6 @@ Z_AGREEMENT_RTOL = 1e-8
 RESIDUAL_RTOL = 1e-10
 
 BLAS1_CALLS_PER_SOLVER = 10
-
-_clock = time.perf_counter_ns
 
 
 def rel_diff(a: float, b: float) -> float:
@@ -128,12 +120,12 @@ def setup_only(cfg) -> int:
     """Nanoseconds from the run_experiment call to its first forecast."""
     def stop(original):
         def stopped(*args, **kwargs):
-            raise _SetupDone(_clock())
+            raise _SetupDone(clock())
         return stopped
     undo = []
     patch(experiment, "forecast_step", stop, undo)
     try:
-        start = _clock()
+        start = clock()
         experiment.run_experiment(cfg)
     except _SetupDone as done:
         return done.args[0] - start
@@ -154,7 +146,7 @@ def run_twin(cfg, outdir: Path, tracer: Tracer | None = None) -> TwinRun:
 
     def stamp(original):
         def stamped(*args, **kwargs):
-            now = _clock()
+            now = clock()
             if tracer is not None:
                 # closes the set-up span or the previous cycle
                 tracer.close(tracer.stack[-1], end=now)
@@ -169,16 +161,16 @@ def run_twin(cfg, outdir: Path, tracer: Tracer | None = None) -> TwinRun:
     patch(experiment, "forecast_step", stamp, undo)
     depth = len(tracer.stack) if tracer is not None else 0
     try:
-        start = _clock()
+        start = clock()
         if tracer is not None:
             run_span = tracer.open("experiment.run", start=start)
             tracer.open("experiment.setup", start=start)
         manifest = experiment.run_experiment(cfg)
-        run_end = _clock()
+        run_end = clock()
         if tracer is not None:
             tracer.close(tracer.stack[-1], end=run_end)
         emitted = experiment.emit_csv(manifest, outdir)
-        end = _clock()
+        end = clock()
         if tracer is not None:
             tracer.close(run_span, end=end)
     finally:
@@ -253,17 +245,18 @@ class Measured:
 
 
 def measure_twin(workload, seed, seconds, outdir, reference,
-                 tracer: Tracer | None = None, setup_repeats=SETUP_REPEATS):
+                 tracer: Tracer | None = None, setup_passes=False):
     cfg = twin_config(workload, seed)
     cycles = cfg.steps // cfg.analysis_interval
     checks = TwinChecks(workload, seed, reference)
     out = Measured({s: [] for s in cfg.solvers}, [], [])
     budget = seconds * 1_000_000_000
-    begin = _clock()
+    begin = clock()
     while True:
-        # spread the set-up-only passes over the run, so that setup_s does
-        # not hinge on how fast the machine was in its first seconds
-        if len(out.run_ns) < setup_repeats:
+        # with setup_passes, a set-up-only pass (run_experiment stopped at
+        # its first forecast) before every run doubles the set-ups that
+        # setup_s takes its median over, spread over the whole run
+        if setup_passes:
             out.setup_ns.append(setup_only(cfg))
         run = run_twin(cfg, outdir, tracer)
         out.run_ns.append(run.end - run.start)
@@ -278,7 +271,7 @@ def measure_twin(workload, seed, seconds, outdir, reference,
         out.extra["emit_csv_bytes"] = sum(Path(p).stat().st_size
                                           for p in run.emitted)
         out.extra["nobs"], out.extra["nens"] = run.manifest.nobs, cfg.nens
-        if _clock() - begin + (run.end - run.start) > budget:
+        if clock() - begin + (run.end - run.start) > budget:
             break
     out.problems = checks.problems
     return out
@@ -325,12 +318,12 @@ def measure_tall(seed, seconds):
     out = Measured({s: [] for s in SOLVERS}, [], [])
     calls = None
     budget = seconds * 1_000_000_000
-    begin = _clock()
+    begin = clock()
     while True:
         # one set-up per round; the solves use the arrays of the first
-        t0 = _clock()
+        t0 = clock()
         v, d = tall_system(ensemble, batch)
-        out.setup_ns.append(_clock() - t0)
+        out.setup_ns.append(clock() - t0)
         if calls is None:
             calls = tall_calls(r, v, d)
         round_ns = 0
@@ -338,9 +331,9 @@ def measure_tall(seed, seconds):
         bad = set()
         for solver in SOLVERS:
             args = calls[solver]
-            t0 = _clock()
+            t0 = clock()
             result = solvers.solve_analysis(solver, *args)
-            t1 = _clock()
+            t1 = clock()
             out.unit_ns[solver].append(t1 - t0)
             round_ns += t1 - t0
             z[solver] = result.z
@@ -356,7 +349,7 @@ def measure_tall(seed, seconds):
         out.attempted += len(SOLVERS)
         out.failed += len(bad)
         out.run_ns.append(round_ns)
-        if _clock() - begin + round_ns > budget:
+        if clock() - begin + round_ns > budget:
             break
     out.extra.update(nobs=TALL_NOBS, nens=TALL_NENS, last_z=z, calls=calls)
     return out
