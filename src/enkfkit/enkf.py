@@ -3,10 +3,8 @@
 Ensembles are plain ndarrays of shape (Nstate, Nens), one model state per
 column. Scaling convention: :func:`member_deviations` returns deviations
 already divided by sqrt(Nens - 1), so S S' is the unbiased sample
-covariance and the Sherman/Cholesky solvers receive V = H(S) directly;
-the SVD solver applies the sample-size divisor itself and the dispatch in
-:mod:`enkfkit.solvers` converts. That boundary is the single place the
-factor lives.
+covariance and every solver receives V = H(S) directly. That function is
+the single place the factor lives.
 """
 
 from __future__ import annotations

@@ -35,8 +35,9 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    scale = np.abs(a).max()
-    if scale > 0 and np.abs(a - a.T).max() > _SYMMETRY_RTOL * scale:
+    scale = max(a.max(), -a.min())
+    # a - a.T is antisymmetric, so its max is its largest absolute entry
+    if scale > 0 and (a - a.T).max() > _SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric")
     c, info = lapack.dpotrf(a, lower=1, clean=1)
     if info > 0:

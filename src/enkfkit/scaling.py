@@ -1,8 +1,8 @@
 """Timing sweeps of the analysis solvers over synthetic systems.
 
-The sweep times just the observation-space solve on random well-scaled
-systems, which is where the solvers differ: the rank-one sweep is linear
-in the number of observations at fixed ensemble size, while the dense
+The sweep times just the observation-space solve on random systems,
+which is where the solvers differ: the rank-one sweep is linear in the
+number of observations at fixed ensemble size, while the dense
 Cholesky baseline pays for assembling and factoring the full matrix.
 """
 
@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .rng import make_rng
 from .solvers import solve_analysis
+from .verify import random_system
 
 SWEEP_AXES = ("nobs", "nens")
 
@@ -37,14 +38,6 @@ class ScalingStudy:
 
     def seconds_for(self, solver: str) -> list[float]:
         return [row.seconds for row in self.rows if row.solver == solver]
-
-
-def _random_system(nobs: int, nens: int, seed: int):
-    rng = make_rng(seed)
-    r = rng.uniform(0.5, 1.5, size=nobs)
-    v = rng.standard_normal((nobs, nens)) / np.sqrt(nobs)
-    d = rng.standard_normal((nobs, nens))
-    return r, v, d
 
 
 def run_scaling_study(
@@ -91,7 +84,7 @@ def run_scaling_study(
     study = ScalingStudy(axis=axis)
     for i, value in enumerate(values):
         nobs, nens = (value, fixed) if axis == "nobs" else (fixed, value)
-        r, v, d = _random_system(nobs, nens, seed + i)
+        r, v, d = random_system(make_rng(seed + i), nobs, nens)
         for solver in solvers:
             solve_analysis(solver, r, v, d)  # warmup, excluded from timing
             best = np.inf

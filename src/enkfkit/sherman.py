@@ -82,7 +82,9 @@ def long_op_count(nens: int, nobs: int) -> int:
     return 3 * (nens * nens * nobs + nens * nobs)
 
 
-def _validate_system(r, v, d):
+def validate_system(r, v, d):
+    """Return the analysis system as float arrays; every public solver calls
+    this before its clock starts, so bad input raises the same ValueError."""
     r = np.asarray(r, dtype=float)
     v = np.asarray(v, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -123,20 +125,6 @@ def _partition(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
         blocks.append((start, stop))
         start = stop
     return blocks
-
-
-def level_blocks(nens: int, level: int, workers: int) -> list[tuple[int, int]]:
-    """Column blocks of the workspace G updated in parallel at a level.
-
-    ``level`` 0 is the elementwise R-solve, where all 2 Nens columns are
-    available; at level k >= 1 the first k columns are frozen and the
-    remaining 2 Nens - k columns are split across workers.
-    """
-    if not 0 <= level <= nens:
-        raise ValueError(f"level must be in [0, {nens}], got {level}")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    return _partition(level, 2 * nens, workers)
 
 
 # Levels applied per compound trailing update. A group of rank-one updates
@@ -277,7 +265,7 @@ def solve_sherman(
     ValueError on inconsistent shapes or non-finite input;
     SingularUpdateError when an update denominator vanishes.
     """
-    r, v, d = _validate_system(r, v, d)
+    r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()
     if count_ops or verify_frozen:
         z, ops = _sweep_reference(r, v, d, count_ops, verify_frozen)
@@ -305,7 +293,7 @@ def solve_sherman_blocked(
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    r, v, d = _validate_system(r, v, d)
+    r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()
     z = _sweep(r, v, d, workers=workers)
     return SolverResult(z=z, seconds=time.perf_counter() - t0)

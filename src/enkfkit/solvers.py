@@ -4,11 +4,12 @@ All three solvers produce the solution Z of the observation-space system
 
     (diag(r) + V V') Z = D
 
-where V carries the 1/sqrt(Nens-1) deviation scaling. The Cholesky path
-materializes the Nobs x Nobs matrix on purpose (it is the dense baseline
-whose cost profile the cheaper solvers are measured against). The SVD path
-works in whitened coordinates with a thin factorization; see
-:func:`solve_svd` for the scaling convention it expects.
+where V carries the 1/sqrt(Nens-1) deviation scaling, and all three check
+their input with :func:`enkfkit.sherman.validate_system` before the clock
+starts. The Cholesky path materializes the Nobs x Nobs matrix on purpose
+(it is the dense baseline whose cost profile the cheaper solvers are
+measured against). The SVD path works in whitened coordinates with a thin
+factorization.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .linalg import cholesky_factor, svd_thin, sym_rank_k_update
-from .sherman import SolverResult, solve_sherman, solve_sherman_blocked
+from .sherman import (
+    SolverResult,
+    solve_sherman,
+    solve_sherman_blocked,
+    validate_system,
+)
 
 
 class SolverChoice(str, Enum):
@@ -38,14 +44,10 @@ def solve_cholesky(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     and back-substitutes all Nens right-hand sides. ``v`` must carry the
     1/sqrt(Nens-1) scaling.
 
-    Raises NotPositiveDefiniteError from the factorization if W is not
-    positive definite.
+    Raises ValueError on invalid input, and NotPositiveDefiniteError from
+    the factorization if W is numerically not positive definite.
     """
-    r = np.asarray(r, dtype=float)
-    v = np.asarray(v, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if v.shape[0] != r.shape[0] or d.shape[0] != r.shape[0]:
-        raise ValueError("row mismatch between r, V and D")
+    r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()
     w = sym_rank_k_update(v, r, alpha=1.0, beta=1.0)
     lower = cholesky_factor(w)
@@ -54,35 +56,26 @@ def solve_cholesky(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     return SolverResult(z=z, seconds=time.perf_counter() - t0)
 
 
-def solve_svd(r: np.ndarray, v_raw: np.ndarray, d: np.ndarray) -> SolverResult:
-    """Solve (diag(r) + V_raw V_raw' / (Nens - 1)) Z = D via a thin SVD.
+def solve_svd(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
+    """Solve (diag(r) + V V') Z = D via a thin SVD.
 
-    ``v_raw`` holds the *unscaled* member deviations mapped to observation
-    space (no 1/sqrt(Nens-1) factor); the sample-size divisor is applied
-    to the squared singular values instead, with Nens taken from the
-    column count. In whitened coordinates B = diag(r)^{-1/2} V_raw the
-    system matrix acts as the identity on the orthogonal complement of
-    B's left singular vectors, so only the thin Nobs x Nens factor is
-    ever formed:
+    ``v`` carries the 1/sqrt(Nens-1) scaling, as for the other solvers. In
+    whitened coordinates B = diag(r)^{-1/2} V with B = U diag(s) W', the
+    system matrix acts as the identity on the orthogonal complement of U,
+    so only the thin Nobs x Nens factor is ever formed:
 
-        Z = R^{-1/2} (U (diag{1/(s_i^2/(Nens-1) + 1)} - I) U' + I) R^{-1/2} D
+        Z = R^{-1/2} (U (diag{1/(s_i^2 + 1)} - I) U' + I) R^{-1/2} D
+
+    Raises ValueError on invalid input, and NumericalFailureError if the
+    SVD does not converge.
     """
-    r = np.asarray(r, dtype=float)
-    v_raw = np.asarray(v_raw, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if v_raw.shape[0] != r.shape[0] or d.shape[0] != r.shape[0]:
-        raise ValueError("row mismatch between r, V and D")
-    nens = v_raw.shape[1]
-    if nens < 2:
-        raise ValueError("SVD solver needs at least 2 ensemble columns")
-    if np.any(r <= 0):
-        raise ValueError("observation variances must be positive")
+    r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()
     root_r = np.sqrt(r)
-    b = v_raw / root_r[:, None]
+    b = v / root_r[:, None]
     u, s, _ = svd_thin(b, mode="thin")
     dw = d / root_r[:, None]
-    shrink = 1.0 / (s * s / (nens - 1) + 1.0) - 1.0
+    shrink = 1.0 / (s * s + 1.0) - 1.0
     zw = dw + u @ (shrink[:, None] * (u.T @ dw))
     z = zw / root_r[:, None]
     return SolverResult(z=z, seconds=time.perf_counter() - t0)
@@ -95,12 +88,8 @@ def solve_analysis(
     d: np.ndarray,
     workers: int = 1,
 ) -> SolverResult:
-    """Dispatch to one of the three solvers.
-
-    ``v`` always carries the 1/sqrt(Nens-1) scaling here; the SVD path
-    receives the unscaled deviations it expects by multiplying the factor
-    back in.
-    """
+    """Dispatch to one of the three solvers, which all take the same
+    scaled ``v`` and validate their input themselves."""
     choice = SolverChoice(choice)
     if choice is SolverChoice.SHERMAN:
         if workers > 1:
@@ -108,5 +97,4 @@ def solve_analysis(
         return solve_sherman(r, v, d)
     if choice is SolverChoice.CHOLESKY:
         return solve_cholesky(r, v, d)
-    nens = np.asarray(v).shape[1]
-    return solve_svd(r, np.asarray(v, dtype=float) * np.sqrt(nens - 1.0), d)
+    return solve_svd(r, v, d)

@@ -6,7 +6,6 @@ from enkfkit.rng import make_rng
 from enkfkit.sherman import (
     _sweep,
     _sweep_reference,
-    level_blocks,
     long_op_count,
     solve_sherman,
     solve_sherman_blocked,
@@ -144,17 +143,6 @@ class TestBlocked:
         serial = solve_sherman(r, v, d).z
         blocked = solve_sherman_blocked(r, v, d, workers=workers).z
         assert np.abs(serial - blocked).max() <= 1e-12
-
-    def test_level_zero_offers_all_columns(self):
-        # with 3 ensemble columns the concatenated workspace has 6 columns
-        blocks = level_blocks(nens=3, level=0, workers=2)
-        assert blocks[0][0] == 0 and blocks[-1][1] == 6
-        assert sum(hi - lo for lo, hi in blocks) == 6
-
-    def test_level_blocks_shrink_with_level(self):
-        for level in range(1, 4):
-            blocks = level_blocks(nens=3, level=level, workers=4)
-            assert blocks[0][0] == level and blocks[-1][1] == 6
 
     def test_worker_validation(self):
         r, v, d = random_system(83, 10, 2)

@@ -33,11 +33,12 @@ class TestCholeskySolver:
         assert np.abs(z_chol - z_sher).max() <= 1e-10
 
     def test_propagates_not_positive_definite(self):
-        # a negative variance sneaks past solve_cholesky and must surface
-        # from the factorization
-        with pytest.raises(NotPositiveDefiniteError):
-            solve_cholesky(np.array([-1.0, 1.0]), np.zeros((2, 1)),
+        # valid input whose assembled matrix rounds to a singular one: 1e20
+        # swallows 1e-20, so the factorization fails at pivot 1
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            solve_cholesky(np.array([1e-20, 1e-20]), np.array([[1e10], [1e10]]),
                            np.ones((2, 1)))
+        assert info.value.pivot == 1
 
 
 class TestSvdSolver:
@@ -52,10 +53,10 @@ class TestSvdSolver:
         # closed form is a / (1 + 2 |a|^2); dense solve double-checks
         rng = make_rng(8)
         a = rng.standard_normal(12)
-        v_raw = np.column_stack([a, -a])
+        v = np.column_stack([a, -a])
         r = np.ones(12)
         d = np.column_stack([a, a])
-        z = solve_svd(r, v_raw, d).z
+        z = solve_svd(r, v, d).z
         expected = a / (1.0 + 2.0 * (a @ a))
         assert np.abs(z[:, 0] - expected).max() <= 1e-12
         dense = np.linalg.solve(np.eye(12) + 2.0 * np.outer(a, a), a)
@@ -63,13 +64,15 @@ class TestSvdSolver:
 
     def test_agrees_with_sherman(self):
         r, v, d = random_system(9, 50, 8)
-        z_svd = solve_svd(r, v * np.sqrt(7.0), d).z
+        z_svd = solve_svd(r, v, d).z
         z_sher = solve_sherman(r, v, d).z
         assert np.abs(z_svd - z_sher).max() <= 1e-9
 
-    def test_needs_two_columns(self):
-        with pytest.raises(ValueError):
-            solve_svd(np.ones(3), np.ones((3, 1)), np.ones((3, 1)))
+    def test_single_column_agrees_with_sherman(self):
+        r, v, d = random_system(12, 20, 1)
+        z_svd = solve_svd(r, v, d).z
+        z_sher = solve_sherman(r, v, d).z
+        assert np.abs(z_svd - z_sher).max() <= 1e-9
 
     def test_thin_path_matches_full_factor_formula(self):
         # the thin factorization plus identity-complement handling must
@@ -79,17 +82,17 @@ class TestSvdSolver:
         rng = make_rng(10)
         nobs, nens = 30, 5
         r = rng.uniform(0.5, 2.0, nobs)
-        v_raw = rng.standard_normal((nobs, nens))
+        v = rng.standard_normal((nobs, nens)) / np.sqrt(nens - 1.0)
         d = rng.standard_normal((nobs, nens))
 
         root_r = np.sqrt(r)
-        u_full, s, _ = svd_thin(v_raw / root_r[:, None], mode="full-left")
+        u_full, s, _ = svd_thin(v / root_r[:, None], mode="full-left")
         inner = np.ones(nobs)
-        inner[:nens] = 1.0 / (s * s / (nens - 1) + 1.0)
+        inner[:nens] = 1.0 / (s * s + 1.0)
         z_full = (u_full @ (inner[:, None] * (u_full.T @ (d / root_r[:, None])))
                   ) / root_r[:, None]
 
-        z_thin = solve_svd(r, v_raw, d).z
+        z_thin = solve_svd(r, v, d).z
         assert np.abs(z_thin - z_full).max() <= 1e-9 * np.abs(z_full).max()
 
 
@@ -102,10 +105,47 @@ class TestThreeWayAgreement:
         r, v, d = random_system(2000 + seed, nobs, nens)
         z_sher = solve_sherman(r, v, d).z
         z_chol = solve_cholesky(r, v, d).z
-        z_svd = solve_svd(r, v * np.sqrt(nens - 1.0), d).z
+        z_svd = solve_svd(r, v, d).z
         scale = np.abs(z_sher).max()
         assert np.abs(z_sher - z_chol).max() <= 1e-9 * scale
         assert np.abs(z_sher - z_svd).max() <= 1e-8 * scale
+
+
+def hostile_system(case):
+    r, v, d = random_system(11, 6, 3)
+    if case == "nan in V":
+        v[2, 1] = np.nan
+    elif case == "inf in D":
+        d[0, 2] = np.inf
+    elif case == "zero in r":
+        r[1] = 0.0
+    elif case == "negative r":
+        r[4] = -1.0
+    elif case == "row mismatch":
+        d = d[:-1]
+    elif case == "column mismatch":
+        d = d[:, :-1]
+    elif case == "2-D r":
+        r = np.diag(r)
+    return r, v, d
+
+
+DIRECT = {"sherman": solve_sherman, "cholesky": solve_cholesky,
+          "svd": solve_svd}
+
+
+@pytest.mark.parametrize("case", ["nan in V", "inf in D", "zero in r",
+                                  "negative r", "row mismatch",
+                                  "column mismatch", "2-D r"])
+@pytest.mark.parametrize("dispatch", [False, True])
+@pytest.mark.parametrize("solver", sorted(DIRECT))
+def test_bad_input_raises_value_error(solver, dispatch, case):
+    r, v, d = hostile_system(case)
+    with pytest.raises(ValueError):
+        if dispatch:
+            solve_analysis(solver, r, v, d)
+        else:
+            DIRECT[solver](r, v, d)
 
 
 class TestDispatch:
