@@ -31,14 +31,9 @@ from .experiment import ExperimentConfig, RunManifest, emit_csv, load_config, ru
 from .linalg import cholesky_factor, svd_thin, sym_rank_k_update
 from .metrics import MetricSeries, elapsed_report, rmse, rse
 from .rng import gaussian_matrix, make_rng
-from .sherman import (
-    SolverResult,
-    long_op_count,
-    solve_sherman,
-    solve_sherman_blocked,
-    solve_sherman_recursive,
-)
+from .sherman import SolverResult, long_op_count, solve_sherman
 from .solvers import SolverChoice, solve_analysis, solve_cholesky, solve_svd
+from .verify import solve_sherman_recursive
 
 __version__ = "0.1.0"
 
@@ -76,7 +71,6 @@ __all__ = [
     "solve_analysis",
     "solve_cholesky",
     "solve_sherman",
-    "solve_sherman_blocked",
     "solve_sherman_recursive",
     "solve_svd",
     "svd_thin",

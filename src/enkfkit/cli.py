@@ -34,7 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="config file path or preset name "
                             "(lorenz-small, lorenz-500, qg33-short)")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="worker threads for blocked column updates")
+                       help="threads for the Sherman sweep's trailing-column "
+                            "updates; no effect on cholesky or svd")
     p_run.add_argument("--out", default=None, help="output directory")
 
     p_scale = sub.add_parser("scale", help="time the solvers over a size sweep")

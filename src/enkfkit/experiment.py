@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -34,7 +34,6 @@ from .errors import ConfigError, NumericalFailureError
 from .metrics import MetricSeries, elapsed_report, rmse, rse
 from .models import QG33, QG65, QG129, Lorenz96, Lorenz96Config, QGConfig, QGModel
 from .observations import (
-    ObsSchedule,
     build_initial_ensemble_lorenz,
     build_initial_ensemble_qg,
     build_selection_operator,
@@ -164,12 +163,7 @@ class ExperimentConfig:
                                  dt=self.model_dt())
             return Lorenz96(cfg)
         if self.model in _QG_PRESETS:
-            base = _QG_PRESETS[self.model]
-            cfg = QGConfig(n=base.n, m=base.m, lx=base.lx, ly=base.ly,
-                           rkb=base.rkb, rkh=base.rkh, rkh2=base.rkh2,
-                           beta=base.beta, rossby=base.rossby,
-                           froude=base.froude, dt=self.model_dt())
-            return QGModel(cfg)
+            return QGModel(replace(_QG_PRESETS[self.model], dt=self.model_dt()))
         try:
             cfg = QGConfig(dt=self.model_dt(), **self.qg_grid)
         except (TypeError, ValueError) as exc:
@@ -384,17 +378,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
                             seed=cfg.seed_truth)
     nstate = x0_true.shape[0]
 
-    schedule = ObsSchedule(
-        analysis_times=tuple(float(t) for t in times[1:]),
-        pobs=cfg.pobs,
-        r_value=cfg.obs_variance,
-        strategy=cfg.obs_strategy,
-        seed=cfg.seed_observations,
-    )
-    h = build_selection_operator(nstate, schedule.pobs, schedule.strategy,
-                                 seed=schedule.seed)
+    h = build_selection_operator(nstate, cfg.pobs, cfg.obs_strategy,
+                                 seed=cfg.seed_observations)
     nobs = h.nobs(nstate)
-    r = np.full(nobs, schedule.r_value)
+    r = np.full(nobs, cfg.obs_variance)
 
     rng_ens = make_rng(cfg.seed_ensemble)
     if cfg.model == "lorenz96":

@@ -47,14 +47,9 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
     return c
 
 
-def svd_thin(a: np.ndarray, mode: str = "thin"):
-    """Singular value decomposition A = U diag(s) V'.
-
-    Parameters
-    ----------
-    a : matrix to factor.
-    mode : "thin" for the economy factorization (U is rows x min(rows, cols))
-        or "full-left" for a square rows x rows U.
+def svd_thin(a: np.ndarray):
+    """Economy singular value decomposition A = U diag(s) V', with U of
+    shape rows x min(rows, cols).
 
     Returns
     -------
@@ -66,13 +61,11 @@ def svd_thin(a: np.ndarray, mode: str = "thin"):
     ------
     NumericalFailureError if the underlying iteration does not converge.
     """
-    if mode not in ("thin", "full-left"):
-        raise ValueError(f"unknown SVD mode {mode!r}")
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=(mode == "full-left"))
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
     return u, s, vt.T

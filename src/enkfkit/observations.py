@@ -8,7 +8,7 @@ reused verbatim for every solver being compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,23 +35,6 @@ class TruthTrajectory:
 
     def state_at(self, idx: int) -> np.ndarray:
         return self.states[:, idx]
-
-
-@dataclass(frozen=True)
-class ObsSchedule:
-    """When and how densely the state is observed."""
-
-    analysis_times: tuple[float, ...]
-    pobs: float = 1.0
-    r_value: float = 1e-4
-    strategy: str = "uniform-stride"
-    seed: int | None = field(default=None)
-
-    def __post_init__(self):
-        if not 0.0 < self.pobs <= 1.0:
-            raise ValueError("pobs must be in (0, 1]")
-        if self.r_value <= 0:
-            raise ValueError("observation variance must be positive")
 
 
 def propagate_truth(model, x0: np.ndarray, times, model_tag: str = "",

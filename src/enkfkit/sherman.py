@@ -20,19 +20,17 @@ The production path batches GROUP_LEVELS consecutive updates into one
 compound operator I - H C V' (with C a small lower-triangular composition
 matrix) and applies it to the trailing columns with matrix-matrix kernels,
 so the workspace is streamed once per group rather than once per level.
-The algebra is identical to the level-by-level form; `count_ops=True` and
-`verify_frozen=True` run the plain one-update-per-level reference sweep,
-whose operation count matches the closed form exactly.
+The algebra is identical to the level-by-level form; `count_ops=True` runs
+the plain one-update-per-level reference sweep, whose operation count
+matches the closed form exactly.
 
-`solve_sherman_blocked` partitions the updated trailing columns into
+With ``workers > 1`` the trailing columns of each group are split into
 contiguous blocks handled by a thread pool; each column is touched by one
 worker with a fixed per-column operation order, so results match the serial
-sweep to rounding (bitwise for one worker).
+sweep to rounding (bitwise for one worker, which runs no pool at all).
 
-`solve_sherman_recursive` evaluates the same identity by literal recursion,
-re-solving shared subproblems. Its cost grows as 2^Nens base solves, so it
-is capped at small ensembles and kept only as a correctness oracle for the
-iterative sweep.
+The literal recursive evaluation of the same identity, an exponential-cost
+oracle for this sweep, lives in :mod:`enkfkit.verify`.
 """
 
 from __future__ import annotations
@@ -194,22 +192,20 @@ def _sweep(r, v, d, workers: int):
 
 
 def _update_trailing(g, lo, hi, vblk, hs, c):
+    # every column slice of the Fortran-ordered workspace is F-contiguous,
+    # so dgemm updates it in place
     trailing = g[:, lo:hi]
     s = c @ (vblk.T @ trailing)
-    if trailing.flags.f_contiguous:
-        dgemm(-1.0, hs, s, beta=1.0, c=trailing, overwrite_c=1)
-    else:
-        trailing -= hs @ s
+    dgemm(-1.0, hs, s, beta=1.0, c=trailing, overwrite_c=1)
 
 
-def _sweep_reference(r, v, d, count_ops: bool, verify_frozen: bool):
+def _sweep_reference(r, v, d, count_ops: bool):
     """One rank-one update per level, exactly as the cost accounting counts
-    it; used for operation counting and the frozen-column assertion."""
+    it; used for operation counting."""
     nobs, nens = v.shape
     g = _init_workspace(r, v, d)
     ops = 2 * nobs * nens if count_ops else 0
 
-    frozen: list[np.ndarray] = []
     for k in range(nens):
         vk = v[:, k]
         u = g[:, k]
@@ -219,21 +215,13 @@ def _sweep_reference(r, v, d, count_ops: bool, verify_frozen: bool):
         h = u / denom
         if count_ops:
             ops += 2 * nobs  # the dot v'u and the division by the scalar
-        if verify_frozen:
-            frozen.append(g[:, k].copy())
 
+        # columns 0..k are frozen from here on: the update starts at k + 1
         blk = g[:, k + 1:]
         s = vk @ blk
         dger(-1.0, h, s, a=blk, overwrite_a=1)
         if count_ops:
             ops += 2 * nobs * (2 * nens - k - 1)
-
-        if verify_frozen:
-            for i, col in enumerate(frozen):
-                if not np.array_equal(col, g[:, i]):
-                    raise AssertionError(
-                        f"frozen column {i} mutated at level {k + 1}"
-                    )
 
     return g[:, nens:].copy(), (ops if count_ops else None)
 
@@ -243,8 +231,8 @@ def solve_sherman(
     v: np.ndarray,
     d: np.ndarray,
     *,
+    workers: int = 1,
     count_ops: bool = False,
-    verify_frozen: bool = False,
 ) -> SolverResult:
     """Solve (diag(r) + V V') Z = D by the iterative rank-one sweep.
 
@@ -254,113 +242,25 @@ def solve_sherman(
     v : Nobs x Nens matrix of scaled ensemble deviations in observation
         space (carrying the 1/sqrt(Nens-1) factor).
     d : Nobs x Nens right-hand side of innovations.
-    count_ops : when True, the result reports the number of
-        multiplications/divisions performed (matches
-        :func:`long_op_count`).
-    verify_frozen : debugging aid; assert that finished pivot columns are
-        never touched again.
+    workers : threads sharing each level group's trailing-column update.
+        Every column is updated by one thread in a fixed order, so for any
+        count the result is within 1e-12 of the serial sweep
+        (``workers=1``, which starts no pool).
+    count_ops : when True, run the serial level-by-level sweep and report
+        the number of multiplications/divisions performed (matches
+        :func:`long_op_count`); ``workers`` is then unused.
 
     Raises
     ------
-    ValueError on inconsistent shapes or non-finite input;
+    ValueError on ``workers < 1``, inconsistent shapes or non-finite input;
     SingularUpdateError when an update denominator vanishes.
-    """
-    r, v, d = validate_system(r, v, d)
-    t0 = time.perf_counter()
-    if count_ops or verify_frozen:
-        z, ops = _sweep_reference(r, v, d, count_ops, verify_frozen)
-    else:
-        z, ops = _sweep(r, v, d, workers=1), None
-    return SolverResult(z=z, seconds=time.perf_counter() - t0, long_ops=ops)
-
-
-def solve_sherman_blocked(
-    r: np.ndarray,
-    v: np.ndarray,
-    d: np.ndarray,
-    workers: int = 1,
-) -> SolverResult:
-    """Column-blocked variant of :func:`solve_sherman`.
-
-    The trailing columns updated by each level group are split into
-    contiguous per-worker blocks; a barrier separates groups, and the
-    pivot vectors and composition matrix are computed once per group and
-    shared read-only. Each column is always processed by exactly one
-    worker with a fixed operation order, so with ``workers=1`` this runs
-    the exact serial code path (bitwise-equal output to
-    :func:`solve_sherman`) and for any worker count the result agrees
-    with the serial sweep to 1e-12 elementwise.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()
-    z = _sweep(r, v, d, workers=workers)
-    return SolverResult(z=z, seconds=time.perf_counter() - t0)
-
-
-# ---------------------------------------------------------------------------
-# Recursive reference form (oracle only)
-
-_RECURSIVE_MAX_NENS = 8
-
-
-def solve_sherman_recursive(
-    r: np.ndarray,
-    v: np.ndarray,
-    x: np.ndarray,
-    k: int | None = None,
-    base_log: list | None = None,
-) -> np.ndarray:
-    """Evaluate (R + sum_{i<=k} v_i v_i')^{-1} x by literal recursion.
-
-    Each recursion level spawns two subproblems (for the running
-    right-hand side and for the next pivot column) without memoization,
-    so identical subproblems are re-solved and the number of base-case
-    R-solves grows as 2^k. This is intentional: the function exists as an
-    independent oracle for the iterative sweep and is limited to
-    Nens <= 8.
-
-    Parameters
-    ----------
-    r, v : system data as in :func:`solve_sherman`.
-    x : right-hand side vector, length Nobs.
-    k : recursion depth (number of rank-one terms); defaults to Nens.
-    base_log : optional list; every base-case solve appends a tag to it
-        (0 for the original right-hand side, i for pivot column v_i,
-        1-based), so tests can count repeated subproblems.
-
-    Returns
-    -------
-    Solution vector of length Nobs.
-    """
-    r = np.asarray(r, dtype=float)
-    v = np.asarray(v, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != r.shape[0] or v.shape[0] != r.shape[0]:
-        raise ValueError("inconsistent dimensions")
-    nens = v.shape[1]
-    if nens > _RECURSIVE_MAX_NENS:
-        raise ValueError(
-            f"recursive oracle limited to Nens <= {_RECURSIVE_MAX_NENS} "
-            f"(cost grows as 2^Nens), got {nens}"
-        )
-    if k is None:
-        k = nens
-    if not 0 <= k <= nens:
-        raise ValueError(f"recursion depth must be in [0, {nens}], got {k}")
-    return _recurse(r, v, x, k, 0, base_log)
-
-
-def _recurse(r, v, x, k, tag, log):
-    if k == 0:
-        if log is not None:
-            log.append(tag)
-        return x / r
-    f = _recurse(r, v, x, k - 1, tag, log)
-    g = _recurse(r, v, v[:, k - 1], k - 1, k, log)
-    vk = v[:, k - 1]
-    denom = 1.0 + float(vk @ g)
-    if abs(denom) < SINGULAR_TOL:
-        raise SingularUpdateError(k, denom)
-    return f - g * (float(vk @ f) / denom)
+    if count_ops:
+        z, ops = _sweep_reference(r, v, d, count_ops)
+    else:
+        z, ops = _sweep(r, v, d, workers=workers), None
+    return SolverResult(z=z, seconds=time.perf_counter() - t0, long_ops=ops)

@@ -21,12 +21,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .linalg import cholesky_factor, svd_thin, sym_rank_k_update
-from .sherman import (
-    SolverResult,
-    solve_sherman,
-    solve_sherman_blocked,
-    validate_system,
-)
+from .sherman import SolverResult, solve_sherman, validate_system
 
 
 class SolverChoice(str, Enum):
@@ -73,7 +68,7 @@ def solve_svd(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     t0 = time.perf_counter()
     root_r = np.sqrt(r)
     b = v / root_r[:, None]
-    u, s, _ = svd_thin(b, mode="thin")
+    u, s, _ = svd_thin(b)
     dw = d / root_r[:, None]
     shrink = 1.0 / (s * s + 1.0) - 1.0
     zw = dw + u @ (shrink[:, None] * (u.T @ dw))
@@ -89,12 +84,11 @@ def solve_analysis(
     workers: int = 1,
 ) -> SolverResult:
     """Dispatch to one of the three solvers, which all take the same
-    scaled ``v`` and validate their input themselves."""
+    scaled ``v`` and validate their input themselves. ``workers`` is the
+    Sherman sweep's thread count; the other solvers ignore it."""
     choice = SolverChoice(choice)
     if choice is SolverChoice.SHERMAN:
-        if workers > 1:
-            return solve_sherman_blocked(r, v, d, workers=workers)
-        return solve_sherman(r, v, d)
+        return solve_sherman(r, v, d, workers=workers)
     if choice is SolverChoice.CHOLESKY:
         return solve_cholesky(r, v, d)
     return solve_svd(r, v, d)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .enkf import SelectionOperator, ObservationBatch, analysis_step, member_deviations
+from .errors import SingularUpdateError
 from .linalg import sym_rank_k_update
 from .models import lorenz96, qg
 from .models.qg import QGConfig
 from .rng import make_rng
-from .sherman import long_op_count, solve_sherman, solve_sherman_recursive
+from .sherman import SINGULAR_TOL, long_op_count, solve_sherman
 from .solvers import solve_cholesky, solve_svd
 
 # (Nens, Nobs) pairs of the operation-count audit.
@@ -36,6 +37,71 @@ def random_system(rng, nobs, nens):
 
 def _log_uniform(rng, lo, hi):
     return int(round(np.exp(rng.uniform(np.log(lo), np.log(hi)))))
+
+
+# Largest ensemble the exponential-cost recursive oracle accepts.
+_RECURSIVE_MAX_NENS = 8
+
+
+def solve_sherman_recursive(
+    r: np.ndarray,
+    v: np.ndarray,
+    x: np.ndarray,
+    k: int | None = None,
+    base_log: list | None = None,
+) -> np.ndarray:
+    """Evaluate (R + sum_{i<=k} v_i v_i')^{-1} x by literal recursion.
+
+    Each recursion level spawns two subproblems (for the running
+    right-hand side and for the next pivot column) without memoization,
+    so identical subproblems are re-solved and the number of base-case
+    R-solves grows as 2^k. This is intentional: the function exists as an
+    independent oracle for the iterative sweep and is limited to
+    Nens <= 8.
+
+    Parameters
+    ----------
+    r, v : system data as in :func:`enkfkit.sherman.solve_sherman`.
+    x : right-hand side vector, length Nobs.
+    k : recursion depth (number of rank-one terms); defaults to Nens.
+    base_log : optional list; every base-case solve appends a tag to it
+        (0 for the original right-hand side, i for pivot column v_i,
+        1-based), so tests can count repeated subproblems.
+
+    Returns
+    -------
+    Solution vector of length Nobs.
+    """
+    r = np.asarray(r, dtype=float)
+    v = np.asarray(v, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.shape[0] != r.shape[0] or v.shape[0] != r.shape[0]:
+        raise ValueError("inconsistent dimensions")
+    nens = v.shape[1]
+    if nens > _RECURSIVE_MAX_NENS:
+        raise ValueError(
+            f"recursive oracle limited to Nens <= {_RECURSIVE_MAX_NENS} "
+            f"(cost grows as 2^Nens), got {nens}"
+        )
+    if k is None:
+        k = nens
+    if not 0 <= k <= nens:
+        raise ValueError(f"recursion depth must be in [0, {nens}], got {k}")
+    return _recurse(r, v, x, k, 0, base_log)
+
+
+def _recurse(r, v, x, k, tag, log):
+    if k == 0:
+        if log is not None:
+            log.append(tag)
+        return x / r
+    f = _recurse(r, v, x, k - 1, tag, log)
+    g = _recurse(r, v, v[:, k - 1], k - 1, k, log)
+    vk = v[:, k - 1]
+    denom = 1.0 + float(vk @ g)
+    if abs(denom) < SINGULAR_TOL:
+        raise SingularUpdateError(k, denom)
+    return f - g * (float(vk @ f) / denom)
 
 
 def check_solver_agreement(instances: int = 100, seed: int = 101) -> bool:

@@ -16,7 +16,7 @@ from enkfkit import verify
 from enkfkit.experiment import ExperimentConfig, emit_csv, load_config, run_experiment
 from enkfkit.rng import make_rng
 from enkfkit.scaling import run_scaling_study
-from enkfkit.sherman import solve_sherman, solve_sherman_blocked
+from enkfkit.sherman import solve_sherman
 
 
 def _report(label: str, started: float, limit_s: float):
@@ -69,7 +69,7 @@ def test_criterion_5_parallel_determinism():
     d = rng.standard_normal((nobs, nens))
     serial = solve_sherman(r, v, d).z
     for workers in (1, 2, 4, 8):
-        blocked = solve_sherman_blocked(r, v, d, workers=workers).z
+        blocked = solve_sherman(r, v, d, workers=workers).z
         assert np.abs(serial - blocked).max() <= 1e-12
         if workers == 1:
             assert np.array_equal(serial, blocked)

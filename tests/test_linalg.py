@@ -58,14 +58,6 @@ class TestSvd:
         assert np.abs(u.T @ u - np.eye(3)).max() <= 1e-10
         assert np.abs(v.T @ v - np.eye(3)).max() <= 1e-10
 
-    def test_full_left_mode(self):
-        rng = make_rng(12)
-        a = rng.standard_normal((5, 2))
-        u, s, v = svd_thin(a, mode="full-left")
-        assert u.shape == (5, 5)
-        assert np.abs(u.T @ u - np.eye(5)).max() <= 1e-10
-        assert np.abs(u[:, :2] @ np.diag(s) @ v.T - a).max() <= 1e-10 * np.linalg.norm(a)
-
     def test_large_random(self):
         rng = make_rng(13)
         a = rng.standard_normal((500, 64))
@@ -73,10 +65,6 @@ class TestSvd:
         norm = np.linalg.norm(a)
         assert np.abs(u @ np.diag(s) @ v.T - a).max() <= 1e-10 * norm
         assert np.all(np.diff(s) <= 0)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            svd_thin(np.eye(2), mode="sideways")
 
 
 class TestRankKUpdate:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from enkfkit.enkf import SelectionOperator
+from enkfkit.errors import ConfigError
+from enkfkit.experiment import ExperimentConfig
 from enkfkit.models import Lorenz96, Lorenz96Config
 from enkfkit.observations import (
-    ObsSchedule,
     TruthTrajectory,
     build_initial_ensemble_lorenz,
     build_initial_ensemble_qg,
@@ -138,8 +139,11 @@ class TestTruth:
         with pytest.raises(ValueError):
             TruthTrajectory(times=[0.0, 0.0], states=np.zeros((3, 2)))
 
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            ObsSchedule(analysis_times=(1.0,), pobs=0.0)
-        with pytest.raises(ValueError):
-            ObsSchedule(analysis_times=(1.0,), r_value=0.0)
+
+class TestObservationConfig:
+    @pytest.mark.parametrize("setting", [{"pobs": 0.0}, {"pobs": 1.5},
+                                         {"obs_variance": 0.0}],
+                             ids=["pobs=0.0", "pobs=1.5", "obs_variance=0.0"])
+    def test_rejected(self, setting):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**setting)

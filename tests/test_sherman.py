@@ -3,14 +3,8 @@ import pytest
 
 from enkfkit.errors import SingularUpdateError
 from enkfkit.rng import make_rng
-from enkfkit.sherman import (
-    _sweep,
-    _sweep_reference,
-    long_op_count,
-    solve_sherman,
-    solve_sherman_blocked,
-    solve_sherman_recursive,
-)
+from enkfkit.sherman import _sweep, _sweep_reference, long_op_count, solve_sherman
+from enkfkit.verify import solve_sherman_recursive
 
 
 def random_system(seed, nobs, nens, r_lo=0.5, r_hi=2.0):
@@ -73,13 +67,7 @@ class TestSolveSherman:
             _sweep(r, v, d, workers=1)
         assert info.value.level == 1
         with pytest.raises(SingularUpdateError):
-            _sweep_reference(r, v, d, count_ops=False, verify_frozen=False)
-
-    def test_frozen_columns_never_mutated(self):
-        r, v, d = random_system(55, 40, 8)
-        z_plain = solve_sherman(r, v, d).z
-        z_checked = solve_sherman(r, v, d, verify_frozen=True).z
-        assert np.abs(z_plain - z_checked).max() <= 1e-12
+            _sweep_reference(r, v, d, count_ops=False)
 
     @pytest.mark.parametrize("nens", [1, 3, 8, 9, 16, 31])
     def test_grouped_path_matches_reference(self, nens):
@@ -87,8 +75,7 @@ class TestSolveSherman:
         # sweep; group boundaries (width 8) must not matter
         r, v, d = random_system(56 + nens, 150, nens)
         grouped = solve_sherman(r, v, d).z
-        reference, _ = _sweep_reference(r, v, d, count_ops=False,
-                                        verify_frozen=False)
+        reference, _ = _sweep_reference(r, v, d, count_ops=False)
         assert np.abs(grouped - reference).max() <= 1e-12 * max(
             1.0, np.abs(reference).max())
 
@@ -134,20 +121,20 @@ class TestBlocked:
     def test_single_worker_bitwise_equal(self):
         r, v, d = random_system(81, 300, 12)
         serial = solve_sherman(r, v, d).z
-        blocked = solve_sherman_blocked(r, v, d, workers=1).z
+        blocked = solve_sherman(r, v, d, workers=1).z
         assert np.array_equal(serial, blocked)
 
     @pytest.mark.parametrize("workers", [2, 4, 8])
     def test_worker_count_independence(self, workers):
         r, v, d = random_system(82, 200, 16)
         serial = solve_sherman(r, v, d).z
-        blocked = solve_sherman_blocked(r, v, d, workers=workers).z
+        blocked = solve_sherman(r, v, d, workers=workers).z
         assert np.abs(serial - blocked).max() <= 1e-12
 
     def test_worker_validation(self):
         r, v, d = random_system(83, 10, 2)
         with pytest.raises(ValueError):
-            solve_sherman_blocked(r, v, d, workers=0)
+            solve_sherman(r, v, d, workers=0)
 
 
 class TestOpCount:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from enkfkit import solvers
 from enkfkit.errors import NotPositiveDefiniteError
 from enkfkit.rng import make_rng
 from enkfkit.solvers import SolverChoice, solve_analysis, solve_cholesky, solve_svd
@@ -77,8 +78,6 @@ class TestSvdSolver:
     def test_thin_path_matches_full_factor_formula(self):
         # the thin factorization plus identity-complement handling must
         # reproduce the square-left-factor formula
-        from enkfkit.linalg import svd_thin
-
         rng = make_rng(10)
         nobs, nens = 30, 5
         r = rng.uniform(0.5, 2.0, nobs)
@@ -86,7 +85,7 @@ class TestSvdSolver:
         d = rng.standard_normal((nobs, nens))
 
         root_r = np.sqrt(r)
-        u_full, s, _ = svd_thin(v / root_r[:, None], mode="full-left")
+        u_full, s, _ = np.linalg.svd(v / root_r[:, None], full_matrices=True)
         inner = np.ones(nobs)
         inner[:nens] = 1.0 / (s * s + 1.0)
         z_full = (u_full @ (inner[:, None] * (u_full.T @ (d / root_r[:, None])))
@@ -162,6 +161,19 @@ class TestDispatch:
         z1 = solve_analysis("sherman", r, v, d, workers=4).z
         z0 = solve_analysis("sherman", r, v, d).z
         assert np.abs(z1 - z0).max() <= 1e-12
+
+    def test_pooled_sherman_goes_through_module_global(self, monkeypatch):
+        # tracers wrap solvers.solve_sherman; a pooled solve must reach it
+        seen = []
+
+        def spy(r, v, d, *, workers=1, count_ops=False):
+            seen.append(workers)
+            return solve_sherman(r, v, d, workers=workers, count_ops=count_ops)
+
+        monkeypatch.setattr(solvers, "solve_sherman", spy)
+        r, v, d = random_system(6, 30, 4)
+        solve_analysis("sherman", r, v, d, workers=2)
+        assert seen == [2]
 
     def test_unknown_solver(self):
         r, v, d = random_system(5, 4, 2)
