@@ -180,9 +180,7 @@ def analysis_step(
     of the influence matrix with S V' before applying Z.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise ValueError("analysis needs at least 2 ensemble members")
-    s = member_deviations(x)
+    s = member_deviations(x)  # raises ValueError below 2 members
     v = h.apply(s)
     d = innovations(obs, h, x)
     result = solve_analysis(solver, r, v, d, workers=workers)

@@ -17,6 +17,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -41,11 +42,12 @@ from .observations import (
     synthesize_observation,
 )
 from .rng import make_rng
+from .solvers import SolverChoice
 
 ARTIFACT_VERSION = "0.1.0"
 
 VALID_MODELS = ("lorenz96", "qg33", "qg65", "qg129", "custom")
-VALID_SOLVERS = ("sherman", "cholesky", "svd", "free")
+VALID_SOLVERS = (*(c.value for c in SolverChoice), "free")
 
 # Conventional physical calibration of the model clocks, used purely to
 # label outputs: one ring-model time unit stands for five atmosphere
@@ -230,7 +232,8 @@ def _config_from_manifest(text: str, path: Path,
         raise ConfigError(f"manifest config mismatch: {exc}") from exc
 
 
-def _get(parser, section, key, cast, default):
+def _get(parser, read, section, key, cast, default):
+    read.add((section, key))
     if not parser.has_option(section, key):
         return default
     raw = parser.get(section, key)
@@ -248,50 +251,54 @@ def _config_from_parser(parser: configparser.ConfigParser,
     unknown = set(parser.sections()) - known
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    read = set()  # every (section, key) looked up; the rest are unknown
+    get = partial(_get, parser, read)
 
-    solvers_raw = _get(parser, "experiment", "solvers", str,
-                       "sherman, cholesky, svd")
+    solvers_raw = get("experiment", "solvers", str, "sherman, cholesky, svd")
     solvers = tuple(s.strip() for s in solvers_raw.split(",") if s.strip())
 
     qg_grid = None
-    if parser.has_section("model") and parser.has_option("model", "n"):
+    if parser.has_option("model", "n"):
         grid_keys = ("n", "m", "lx", "ly", "rkb", "rkh", "rkh2",
                      "beta", "rossby", "froude")
         qg_grid = {}
         for key in grid_keys:
             if parser.has_option("model", key):
                 cast = int if key in ("n", "m") else float
-                qg_grid[key] = _get(parser, "model", key, cast, None)
+                qg_grid[key] = get("model", key, cast, None)
 
     kwargs = dict(
-        name=_get(parser, "experiment", "name", str, "experiment"),
-        model=_get(parser, "experiment", "model", str, "lorenz96"),
+        name=get("experiment", "name", str, "experiment"),
+        model=get("experiment", "model", str, "lorenz96"),
         solvers=solvers,
-        steps=_get(parser, "experiment", "steps", int, 100),
-        analysis_interval=_get(parser, "experiment", "analysis_interval", int, 10),
-        workers=_get(parser, "experiment", "workers", int, 1),
-        output_dir=_get(parser, "experiment", "output_dir", str, "runs"),
-        nstate=_get(parser, "model", "nstate", int, 40),
-        forcing=_get(parser, "model", "forcing", float, 8.0),
-        dt=_get(parser, "model", "dt", float, None),
-        spinup_steps=_get(parser, "model", "spinup_steps", int, None),
+        steps=get("experiment", "steps", int, 100),
+        analysis_interval=get("experiment", "analysis_interval", int, 10),
+        workers=get("experiment", "workers", int, 1),
+        output_dir=get("experiment", "output_dir", str, "runs"),
+        nstate=get("model", "nstate", int, 40),
+        forcing=get("model", "forcing", float, 8.0),
+        dt=get("model", "dt", float, None),
+        spinup_steps=get("model", "spinup_steps", int, None),
         qg_grid=qg_grid,
-        model_noise_std=_get(parser, "model", "noise_std", float, 0.0),
-        nens=_get(parser, "ensemble", "nens", int, 20),
-        inflation=_get(parser, "ensemble", "inflation", float, 1.0),
-        localization=_get(parser, "ensemble", "localization", bool, False),
-        localization_scale=_get(parser, "ensemble", "localization_scale",
-                                float, None),
-        init_spread_pct=_get(parser, "ensemble", "init_spread_pct", float, 0.05),
-        std_ens=_get(parser, "ensemble", "std_ens", float, 5.0),
-        pobs=_get(parser, "observations", "pobs", float, 1.0),
-        obs_variance=_get(parser, "observations", "variance", float, 1e-4),
-        obs_strategy=_get(parser, "observations", "strategy", str,
-                          "uniform-stride"),
-        seed_truth=_get(parser, "seeds", "truth", int, 1),
-        seed_ensemble=_get(parser, "seeds", "ensemble", int, 2),
-        seed_observations=_get(parser, "seeds", "observations", int, 3),
+        model_noise_std=get("model", "noise_std", float, 0.0),
+        nens=get("ensemble", "nens", int, 20),
+        inflation=get("ensemble", "inflation", float, 1.0),
+        localization=get("ensemble", "localization", bool, False),
+        localization_scale=get("ensemble", "localization_scale", float, None),
+        init_spread_pct=get("ensemble", "init_spread_pct", float, 0.05),
+        std_ens=get("ensemble", "std_ens", float, 5.0),
+        pobs=get("observations", "pobs", float, 1.0),
+        obs_variance=get("observations", "variance", float, 1e-4),
+        obs_strategy=get("observations", "strategy", str, "uniform-stride"),
+        seed_truth=get("seeds", "truth", int, 1),
+        seed_ensemble=get("seeds", "ensemble", int, 2),
+        seed_observations=get("seeds", "observations", int, 3),
     )
+
+    unread = sorted(f"[{sec}] {key}" for sec in parser.sections()
+                    for key in parser.options(sec) if (sec, key) not in read)
+    if unread:
+        raise ConfigError(f"unknown config keys: {unread}")
 
     for key, env in _SEED_ENV.items():
         if env in os.environ:
@@ -374,8 +381,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     times = np.arange(cycles + 1) * window
 
     x0_true = _truth_start(cfg, model)
-    truth = propagate_truth(model, x0_true, times, model_tag=cfg.model,
-                            seed=cfg.seed_truth)
+    truth = propagate_truth(model, x0_true, times)
     nstate = x0_true.shape[0]
 
     h = build_selection_operator(nstate, cfg.pobs, cfg.obs_strategy,

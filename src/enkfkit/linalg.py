@@ -71,13 +71,8 @@ def svd_thin(a: np.ndarray):
     return u, s, vt.T
 
 
-def sym_rank_k_update(
-    v: np.ndarray,
-    r: np.ndarray,
-    alpha: float = 1.0,
-    beta: float = 1.0,
-) -> np.ndarray:
-    """Assemble W = alpha * V @ V.T + beta * diag(r), exactly symmetric.
+def sym_rank_k_update(v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Assemble W = V @ V.T + diag(r), exactly symmetric.
 
     The V V' part is computed with the symmetric rank-k BLAS update
     (only one triangle), then mirrored, so the result is symmetric to the
@@ -91,12 +86,10 @@ def sym_rank_k_update(
         raise ValueError(
             f"diagonal length {r.shape} does not match matrix rows {v.shape[0]}"
         )
-    nobs = v.shape[0]
-    lower = np.asarray(blas.dsyrk(alpha, v, lower=1))
+    lower = np.asarray(blas.dsyrk(1.0, v, lower=1))
     # dsyrk leaves the upper triangle zero, so lower + lower.T mirrors it
-    # and only double-counts the diagonal.
+    # and only double-counts the diagonal, which is rewritten.
     w = lower + lower.T
-    diag = np.diag_indices(nobs)
-    w[diag] -= lower[diag]
-    w[diag] += beta * r
+    diag = np.diag_indices(v.shape[0])
+    w[diag] = lower[diag] + r
     return w

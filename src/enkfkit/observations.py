@@ -22,8 +22,6 @@ class TruthTrajectory:
 
     times: np.ndarray
     states: np.ndarray  # (nstate, len(times))
-    model: str = ""
-    seed: int | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -37,8 +35,7 @@ class TruthTrajectory:
         return self.states[:, idx]
 
 
-def propagate_truth(model, x0: np.ndarray, times, model_tag: str = "",
-                    seed: int | None = None) -> TruthTrajectory:
+def propagate_truth(model, x0: np.ndarray, times) -> TruthTrajectory:
     """Advance a reference state through the listed times."""
     times = np.asarray(times, dtype=float)
     x = np.asarray(x0, dtype=float)
@@ -47,7 +44,7 @@ def propagate_truth(model, x0: np.ndarray, times, model_tag: str = "",
     for i in range(1, times.shape[0]):
         x = model.advance(x, times[i - 1], times[i])
         states[:, i] = x
-    return TruthTrajectory(times=times, states=states, model=model_tag, seed=seed)
+    return TruthTrajectory(times=times, states=states)
 
 
 def build_selection_operator(

@@ -38,6 +38,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dger
@@ -110,19 +111,11 @@ def validate_system(r, v, d):
 
 def _partition(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     """Split the column range [lo, hi) into at most ``parts`` contiguous
-    blocks whose sizes differ by at most one."""
-    span = hi - lo
-    parts = min(parts, span)
-    if parts <= 0:
-        return []
-    size, extra = divmod(span, parts)
-    blocks = []
-    start = lo
-    for i in range(parts):
-        stop = start + size + (1 if i < extra else 0)
-        blocks.append((start, stop))
-        start = stop
-    return blocks
+    blocks whose sizes differ by at most one, the larger blocks first."""
+    parts = min(parts, hi - lo)
+    size, extra = divmod(hi - lo, max(parts, 1))
+    edges = [lo + i * size + min(i, extra) for i in range(parts + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 # Levels applied per compound trailing update. A group of rank-one updates
@@ -140,12 +133,22 @@ def _init_workspace(r, v, d):
     return g
 
 
+def _pivot(v, g, k):
+    """Level k's pivot h = u / (1 + v_k' u), where u = g[:, k]."""
+    u = g[:, k]
+    denom = 1.0 + float(v[:, k] @ u)
+    if abs(denom) < SINGULAR_TOL:
+        raise SingularUpdateError(k + 1, denom)
+    return u / denom
+
+
 def _sweep(r, v, d, workers: int):
     """Grouped level iteration (the production path); returns z."""
     nobs, nens = v.shape
     g = _init_workspace(r, v, d)
 
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    run = pool.map if pool is not None else map
     try:
         for k0 in range(0, nens, GROUP_LEVELS):
             width = min(GROUP_LEVELS, nens - k0)
@@ -154,11 +157,7 @@ def _sweep(r, v, d, workers: int):
             for j in range(width):
                 k = k0 + j
                 vk = v[:, k]
-                u = g[:, k]
-                denom = 1.0 + float(vk @ u)
-                if abs(denom) < SINGULAR_TOL:
-                    raise SingularUpdateError(k + 1, denom)
-                h = u / denom
+                h = _pivot(v, g, k)
                 hs[:, j] = h
                 if j > 0:
                     # compose (I - h v') with the accumulated group operator
@@ -172,18 +171,9 @@ def _sweep(r, v, d, workers: int):
                     s = vk @ panel
                     dger(-1.0, h, s, a=panel, overwrite_a=1)
 
-            vblk = v[:, k0:k0 + width]
-            blocks = _partition(k0 + width, 2 * nens, workers)
-            if pool is None or len(blocks) <= 1:
-                for lo, hi in blocks:
-                    _update_trailing(g, lo, hi, vblk, hs, c)
-            else:
-                futures = [
-                    pool.submit(_update_trailing, g, lo, hi, vblk, hs, c)
-                    for lo, hi in blocks
-                ]
-                for fut in futures:  # group barrier
-                    fut.result()
+            update = partial(_update_trailing, g, v[:, k0:k0 + width], hs, c)
+            # list() waits for every block: the group barrier
+            list(run(update, _partition(k0 + width, 2 * nens, workers)))
     finally:
         if pool is not None:
             pool.shutdown(wait=False)
@@ -191,39 +181,32 @@ def _sweep(r, v, d, workers: int):
     return g[:, nens:].copy()
 
 
-def _update_trailing(g, lo, hi, vblk, hs, c):
+def _update_trailing(g, vblk, hs, c, block):
     # every column slice of the Fortran-ordered workspace is F-contiguous,
     # so dgemm updates it in place
+    lo, hi = block
     trailing = g[:, lo:hi]
     s = c @ (vblk.T @ trailing)
     dgemm(-1.0, hs, s, beta=1.0, c=trailing, overwrite_c=1)
 
 
-def _sweep_reference(r, v, d, count_ops: bool):
+def _sweep_reference(r, v, d):
     """One rank-one update per level, exactly as the cost accounting counts
-    it; used for operation counting."""
+    it; returns z and the multiplications and divisions performed."""
     nobs, nens = v.shape
     g = _init_workspace(r, v, d)
-    ops = 2 * nobs * nens if count_ops else 0
+    ops = 2 * nobs * nens
 
     for k in range(nens):
-        vk = v[:, k]
-        u = g[:, k]
-        denom = 1.0 + float(vk @ u)
-        if abs(denom) < SINGULAR_TOL:
-            raise SingularUpdateError(k + 1, denom)
-        h = u / denom
-        if count_ops:
-            ops += 2 * nobs  # the dot v'u and the division by the scalar
-
+        h = _pivot(v, g, k)
         # columns 0..k are frozen from here on: the update starts at k + 1
         blk = g[:, k + 1:]
-        s = vk @ blk
+        s = v[:, k] @ blk
         dger(-1.0, h, s, a=blk, overwrite_a=1)
-        if count_ops:
-            ops += 2 * nobs * (2 * nens - k - 1)
+        # the dot v'u, the division by the scalar, and the column updates
+        ops += 2 * nobs + 2 * nobs * (2 * nens - k - 1)
 
-    return g[:, nens:].copy(), (ops if count_ops else None)
+    return g[:, nens:].copy(), ops
 
 
 def solve_sherman(
@@ -260,7 +243,7 @@ def solve_sherman(
     r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()
     if count_ops:
-        z, ops = _sweep_reference(r, v, d, count_ops)
+        z, ops = _sweep_reference(r, v, d)
     else:
         z, ops = _sweep(r, v, d, workers=workers), None
     return SolverResult(z=z, seconds=time.perf_counter() - t0, long_ops=ops)

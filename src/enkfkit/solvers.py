@@ -44,7 +44,7 @@ def solve_cholesky(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     """
     r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()
-    w = sym_rank_k_update(v, r, alpha=1.0, beta=1.0)
+    w = sym_rank_k_update(v, r)
     lower = cholesky_factor(w)
     y = solve_triangular(lower, d, lower=True)
     z = solve_triangular(lower, y, lower=True, trans="T")

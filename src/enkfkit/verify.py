@@ -193,12 +193,12 @@ def check_rank_k_update(seed: int = 505) -> bool:
     nobs, nens = 15, 4
     r = rng.uniform(0.5, 2.0, size=nobs)
     v = rng.standard_normal((nobs, nens))
-    w = sym_rank_k_update(v, r, alpha=0.5, beta=2.0)
+    w = sym_rank_k_update(v, r)
     naive = np.zeros((nobs, nobs))
     for i in range(nobs):
         for j in range(nobs):
-            naive[i, j] = 0.5 * sum(v[i, k] * v[j, k] for k in range(nens))
-    naive += 2.0 * np.diag(r)
+            naive[i, j] = sum(v[i, k] * v[j, k] for k in range(nens))
+    naive += np.diag(r)
     return bool(np.abs(w - naive).max() <= 1e-13 * np.abs(naive).max())
 
 

@@ -91,6 +91,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_unknown_keys_rejected(self, tmp_path):
+        # a misspelled key must not silently leave its default in place;
+        # grid keys count only when [model] defines the custom grid's n
+        path = tmp_path / "c.ini"
+        path.write_text("[experiment]\nname = x\nstesp = 40\n"
+                        "[model]\nm = 9\n[ensemble]\nnen = 40\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value) == (
+            "unknown config keys: "
+            "['[ensemble] nen', '[experiment] stesp', '[model] m']")
+
     def test_every_field_echoed(self):
         cfg = tiny_config()
         echo = cfg.echo()

@@ -68,27 +68,26 @@ class TestSvd:
 
 
 class TestRankKUpdate:
-    def test_alpha_zero_gives_diagonal(self):
+    def test_zero_v_gives_diagonal(self):
         r = np.array([2.0, 3.0, 4.0])
-        w = sym_rank_k_update(np.zeros((3, 2)), r, alpha=0.0, beta=1.0)
+        w = sym_rank_k_update(np.zeros((3, 2)), r)
         assert np.array_equal(w, np.diag(r))
 
     def test_unit_column(self):
         v = np.array([[1.0], [0.0], [0.0]])
-        w = sym_rank_k_update(v, np.ones(3), alpha=1.0, beta=1.0)
+        w = sym_rank_k_update(v, np.ones(3))
         assert np.array_equal(w, np.diag([2.0, 1.0, 1.0]))
 
     def test_matches_naive_triple_loop(self):
         rng = make_rng(21)
         nobs, nens = 12, 5
-        v = rng.standard_normal((nobs, nens))
+        v = rng.standard_normal((nobs, nens)) / np.sqrt(nens - 1)
         r = rng.uniform(0.5, 2.0, nobs)
-        alpha = 1.0 / (nens - 1)
-        w = sym_rank_k_update(v, r, alpha=alpha, beta=1.0)
+        w = sym_rank_k_update(v, r)
         naive = np.zeros((nobs, nobs))
         for i in range(nobs):
             for j in range(nobs):
-                naive[i, j] = alpha * sum(v[i, k] * v[j, k] for k in range(nens))
+                naive[i, j] = sum(v[i, k] * v[j, k] for k in range(nens))
         naive += np.diag(r)
         assert np.abs(w - naive).max() <= 1e-13 * np.abs(naive).max()
         assert np.array_equal(w, w.T)

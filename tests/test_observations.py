@@ -129,7 +129,7 @@ class TestTruth:
         model = Lorenz96(Lorenz96Config(nstate=8, dt=0.05))
         x0 = 8.0 + make_rng(8).standard_normal(8)
         times = [0.0, 0.25, 0.5, 1.0]
-        truth = propagate_truth(model, x0, times, model_tag="lorenz96", seed=8)
+        truth = propagate_truth(model, x0, times)
         assert truth.states.shape == (8, 4)
         assert np.array_equal(truth.state_at(0), x0)
         expected = model.advance(x0, 0.0, 0.25)

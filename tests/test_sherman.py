@@ -67,15 +67,20 @@ class TestSolveSherman:
             _sweep(r, v, d, workers=1)
         assert info.value.level == 1
         with pytest.raises(SingularUpdateError):
-            _sweep_reference(r, v, d, count_ops=False)
+            _sweep_reference(r, v, d)
 
-    @pytest.mark.parametrize("nens", [1, 3, 8, 9, 16, 31])
-    def test_grouped_path_matches_reference(self, nens):
+    # the serial cases keep their plain "nens" ids
+    @pytest.mark.parametrize("nens,workers", [
+        pytest.param(nens, workers,
+                     id=str(nens) if workers == 1 else f"{nens}-workers{workers}")
+        for workers in (1, 3) for nens in (1, 3, 8, 9, 16, 31)])
+    def test_grouped_path_matches_reference(self, nens, workers):
         # the compound group update is algebraically the level-by-level
-        # sweep; group boundaries (width 8) must not matter
+        # sweep; group boundaries (width 8) must not matter, nor must a
+        # last group whose trailing columns split unevenly across workers
         r, v, d = random_system(56 + nens, 150, nens)
-        grouped = solve_sherman(r, v, d).z
-        reference, _ = _sweep_reference(r, v, d, count_ops=False)
+        grouped = solve_sherman(r, v, d, workers=workers).z
+        reference, _ = _sweep_reference(r, v, d)
         assert np.abs(grouped - reference).max() <= 1e-12 * max(
             1.0, np.abs(reference).max())
 
