@@ -22,7 +22,9 @@ matrix) and applies it to the trailing columns with matrix-matrix kernels,
 so the workspace is streamed once per group rather than once per level.
 The algebra is identical to the level-by-level form; `count_ops=True` runs
 the plain one-update-per-level reference sweep, whose operation count
-matches the closed form exactly.
+matches the closed form exactly. Both sweeps send every Nobs-sized product
+to ``scipy.linalg.blas``: numpy and scipy each load their own OpenBLAS, and
+a sweep that switches between the two makes their threads wait on each other.
 
 With ``workers > 1`` the trailing columns of each group are split into
 contiguous blocks handled by a thread pool; each column is touched by one
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dger
+from scipy.linalg.blas import ddot, dgemm, dgemv, dger
 
 from .errors import SingularUpdateError
 
@@ -118,10 +120,7 @@ def _partition(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-# Levels applied per compound trailing update. A group of rank-one updates
-# composes into I - H C V' (C small lower-triangular), so the bulk of the
-# workspace is touched once per group with matrix-matrix kernels instead of
-# once per level; the arithmetic is algebraically identical.
+# Levels per compound trailing update I - H C V' (see the module docstring).
 GROUP_LEVELS = 8
 
 
@@ -136,7 +135,7 @@ def _init_workspace(r, v, d):
 def _pivot(v, g, k):
     """Level k's pivot h = u / (1 + v_k' u), where u = g[:, k]."""
     u = g[:, k]
-    denom = 1.0 + float(v[:, k] @ u)
+    denom = 1.0 + ddot(v[:, k], u)
     if abs(denom) < SINGULAR_TOL:
         raise SingularUpdateError(k + 1, denom)
     return u / denom
@@ -161,14 +160,14 @@ def _sweep(r, v, d, workers: int):
                 hs[:, j] = h
                 if j > 0:
                     # compose (I - h v') with the accumulated group operator
-                    w = vk @ hs[:, :j]
+                    w = dgemv(1.0, hs[:, :j], vk, trans=1)
                     c[j, :j] = -(w @ c[:j, :j])
                 c[j, j] = 1.0
                 if j + 1 < width:
                     # the remaining pivot columns of the group need this
                     # level eagerly; the trailing columns can wait
                     panel = g[:, k + 1:k0 + width]
-                    s = vk @ panel
+                    s = dgemv(1.0, panel, vk, trans=1)
                     dger(-1.0, h, s, a=panel, overwrite_a=1)
 
             update = partial(_update_trailing, g, v[:, k0:k0 + width], hs, c)
@@ -186,7 +185,7 @@ def _update_trailing(g, vblk, hs, c, block):
     # so dgemm updates it in place
     lo, hi = block
     trailing = g[:, lo:hi]
-    s = c @ (vblk.T @ trailing)
+    s = c @ dgemm(1.0, vblk, trailing, trans_a=1)
     dgemm(-1.0, hs, s, beta=1.0, c=trailing, overwrite_c=1)
 
 
@@ -201,7 +200,7 @@ def _sweep_reference(r, v, d):
         h = _pivot(v, g, k)
         # columns 0..k are frozen from here on: the update starts at k + 1
         blk = g[:, k + 1:]
-        s = v[:, k] @ blk
+        s = dgemv(1.0, blk, v[:, k], trans=1)
         dger(-1.0, h, s, a=blk, overwrite_a=1)
         # the dot v'u, the division by the scalar, and the column updates
         ops += 2 * nobs + 2 * nobs * (2 * nens - k - 1)

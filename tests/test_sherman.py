@@ -123,11 +123,16 @@ class TestRecursive:
 
 
 class TestBlocked:
-    def test_single_worker_bitwise_equal(self):
-        r, v, d = random_system(81, 300, 12)
-        serial = solve_sherman(r, v, d).z
-        blocked = solve_sherman(r, v, d, workers=1).z
-        assert np.array_equal(serial, blocked)
+    @pytest.mark.parametrize("nobs,nens", [(300, 12), (200, 16), (2000, 32)])
+    def test_layout_bitwise_equal(self, nobs, nens):
+        # every product the sweep makes with V goes to one BLAS whatever the
+        # memory layout of V, so Z does not depend on it
+        r, v, d = random_system(81, nobs, nens)
+        wide = np.zeros((nobs, 2 * nens))
+        wide[:, ::2] = v
+        z = solve_sherman(r, v, d).z
+        for layout in (np.asfortranarray(v), wide[:, ::2]):
+            assert np.array_equal(solve_sherman(r, layout, d).z, z)
 
     @pytest.mark.parametrize("workers", [2, 4, 8])
     def test_worker_count_independence(self, workers):
