@@ -6,7 +6,14 @@ matrix, a dense Cholesky baseline, and a thin-SVD path in whitened
 coordinates. On top sit the filter cycle, two standard test models
 (Lorenz-96 and a quasi-geostrophic basin), and a twin-experiment harness
 with deterministic seeding.
+
+Importing the package sets the BLAS thread count for the whole process:
+both OpenBLAS copies (numpy's and scipy's) run one thread, unless
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set, in which
+case both are left as that variable made them.
 """
+
+import os
 
 from .enkf import (
     ObservationBatch,
@@ -33,9 +40,14 @@ from .metrics import MetricSeries, elapsed_report, rmse, rse
 from .rng import gaussian_matrix, make_rng
 from .sherman import SolverResult, long_op_count, solve_sherman
 from .solvers import SolverChoice, solve_analysis, solve_cholesky, solve_svd
+from .threads import blas_threads, set_blas_threads
 from .verify import solve_sherman_recursive
 
 __version__ = "0.1.0"
+
+if not any(os.environ.get(k) for k in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    set_blas_threads(1)
 
 __all__ = [
     "ConfigError",
@@ -51,6 +63,7 @@ __all__ = [
     "SolverChoice",
     "SolverResult",
     "analysis_step",
+    "blas_threads",
     "cholesky_factor",
     "elapsed_report",
     "emit_csv",
@@ -68,6 +81,7 @@ __all__ = [
     "rmse",
     "rse",
     "run_experiment",
+    "set_blas_threads",
     "solve_analysis",
     "solve_cholesky",
     "solve_sherman",

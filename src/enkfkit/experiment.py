@@ -43,6 +43,7 @@ from .observations import (
 )
 from .rng import make_rng
 from .solvers import SolverChoice
+from .threads import blas_threads
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -337,6 +338,7 @@ class RunManifest:
     cycles: int
     hashes: dict
     initial_rse: float = float("nan")
+    blas_threads: dict = field(default_factory=dict)
     runs: list[SolverRun] = field(default_factory=list)
 
     def run_for(self, solver: str) -> SolverRun:
@@ -441,6 +443,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         cycles=cycles,
         hashes=hashes,
         initial_rse=cycle_error(0, ens0.mean(axis=1)),
+        blas_threads=blas_threads(),
     )
 
     for solver in cfg.solvers:
@@ -532,6 +535,7 @@ def emit_csv(manifest: RunManifest, outdir: str | Path) -> list[Path]:
         "nobs": manifest.nobs,
         "cycles": manifest.cycles,
         "initial_rse": manifest.initial_rse,
+        "blas_threads": manifest.blas_threads,
         "time_labels": TIME_LABELS[model_kind],
         "hashes": manifest.hashes,
         "solvers": {

@@ -2,8 +2,9 @@
 
 Thin wrappers over LAPACK/BLAS (through scipy) that pin down the error
 behaviour and conventions the rest of the toolkit relies on: explicit
-pivot reporting for failed Cholesky factorizations, an exactly symmetric
-rank-k update, and an SVD whose factors satisfy A = U diag(s) V'.
+pivot reporting for failed Cholesky factorizations, a rank-k update that
+fills one triangle (all the factorization reads), and an SVD whose factors
+satisfy A = U diag(s) V'.
 """
 
 from __future__ import annotations
@@ -13,20 +14,18 @@ from scipy.linalg import blas, lapack
 
 from .errors import NotPositiveDefiniteError, NumericalFailureError
 
-_SYMMETRY_RTOL = 1e-12
-
 
 def cholesky_factor(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == a.
+    """Lower-triangular L with L @ L.T == a, read from the lower triangle
+    of ``a`` only (its strict upper triangle is never looked at).
 
-    Parameters
-    ----------
-    a : symmetric matrix.
+    A Fortran-ordered float64 ``a`` is factored in place and returned, so
+    the W of :func:`sym_rank_k_update` is never copied.
 
     Raises
     ------
     ValueError
-        if ``a`` is not square/symmetric or contains non-finite entries.
+        if ``a`` is not square or contains non-finite entries.
     NotPositiveDefiniteError
         carrying the 0-based index of the first non-positive pivot.
     """
@@ -35,11 +34,7 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    scale = max(a.max(), -a.min())
-    # a - a.T is antisymmetric, so its max is its largest absolute entry
-    if scale > 0 and (a - a.T).max() > _SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric")
-    c, info = lapack.dpotrf(a, lower=1, clean=1)
+    c, info = lapack.dpotrf(a, lower=1, overwrite_a=1, clean=1)
     if info > 0:
         raise NotPositiveDefiniteError(info - 1)
     if info < 0:  # pragma: no cover - argument errors are caught above
@@ -72,11 +67,12 @@ def svd_thin(a: np.ndarray):
 
 
 def sym_rank_k_update(v: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Assemble W = V @ V.T + diag(r), exactly symmetric.
+    """Assemble W = V @ V.T + diag(r) in the lower triangle of a
+    Fortran-ordered matrix whose strict upper triangle is zero.
 
-    The V V' part is computed with the symmetric rank-k BLAS update
-    (only one triangle), then mirrored, so the result is symmetric to the
-    bit. ``r`` is the diagonal of the observation-error covariance.
+    The V V' part is the symmetric rank-k BLAS update, and ``r``, the
+    diagonal of the observation-error covariance, is added to its diagonal
+    in place.
     """
     v = np.asarray(v, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -86,10 +82,6 @@ def sym_rank_k_update(v: np.ndarray, r: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"diagonal length {r.shape} does not match matrix rows {v.shape[0]}"
         )
-    lower = np.asarray(blas.dsyrk(1.0, v, lower=1))
-    # dsyrk leaves the upper triangle zero, so lower + lower.T mirrors it
-    # and only double-counts the diagonal, which is rewritten.
-    w = lower + lower.T
-    diag = np.diag_indices(v.shape[0])
-    w[diag] = lower[diag] + r
+    w = blas.dsyrk(1.0, v, lower=1)
+    w[np.diag_indices(v.shape[0])] += r
     return w

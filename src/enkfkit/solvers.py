@@ -18,7 +18,7 @@ import time
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from .linalg import cholesky_factor, svd_thin, sym_rank_k_update
 from .sherman import SolverResult, solve_sherman, validate_system
@@ -35,9 +35,9 @@ class SolverChoice(str, Enum):
 def solve_cholesky(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     """Solve the analysis system by dense Cholesky factorization.
 
-    Forms W = diag(r) + V V' explicitly (O(Nobs^2) memory), factors it,
-    and back-substitutes all Nens right-hand sides. ``v`` must carry the
-    1/sqrt(Nens-1) scaling.
+    Forms the lower triangle of W = diag(r) + V V' (O(Nobs^2) memory),
+    factors it in place, and back-substitutes all Nens right-hand sides
+    with one LAPACK call. ``v`` must carry the 1/sqrt(Nens-1) scaling.
 
     Raises ValueError on invalid input, and NotPositiveDefiniteError from
     the factorization if W is numerically not positive definite.
@@ -46,8 +46,7 @@ def solve_cholesky(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     t0 = time.perf_counter()
     w = sym_rank_k_update(v, r)
     lower = cholesky_factor(w)
-    y = solve_triangular(lower, d, lower=True)
-    z = solve_triangular(lower, y, lower=True, trans="T")
+    z, _ = lapack.dpotrs(lower, d, lower=1)
     return SolverResult(z=z, seconds=time.perf_counter() - t0)
 
 

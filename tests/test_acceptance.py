@@ -17,6 +17,7 @@ from enkfkit.experiment import ExperimentConfig, emit_csv, load_config, run_expe
 from enkfkit.rng import make_rng
 from enkfkit.scaling import run_scaling_study
 from enkfkit.sherman import solve_sherman
+from enkfkit.threads import blas_threads, set_blas_threads
 
 
 def _report(label: str, started: float, limit_s: float):
@@ -60,20 +61,28 @@ def test_criterion_4_op_count_audit():
 
 
 def test_criterion_5_parallel_determinism():
-    """Blocked updates match the serial sweep to 1e-12 on a 2000x32 system."""
+    """The serial sweep agrees with itself at 1 and 2 BLAS threads, and
+    blocked updates match it, to 1e-12 on a 2000x32 system."""
     started = time.perf_counter()
     rng = make_rng(0xA5)
     nobs, nens = 2000, 32
     r = rng.uniform(0.5, 2.0, nobs)
     v = rng.standard_normal((nobs, nens))
     d = rng.standard_normal((nobs, nens))
-    serial = solve_sherman(r, v, d).z
-    for workers in (1, 2, 4, 8):
+    (budget,) = set(blas_threads().values())
+    try:
+        set_blas_threads(1)
+        serial = solve_sherman(r, v, d).z
+        set_blas_threads(2)
+        assert set(blas_threads().values()) == {2}
+        assert np.abs(serial - solve_sherman(r, v, d).z).max() <= 1e-12
+    finally:
+        set_blas_threads(budget)
+    for workers in (2, 4, 8):
         blocked = solve_sherman(r, v, d, workers=workers).z
         assert np.abs(serial - blocked).max() <= 1e-12
-        if workers == 1:
-            assert np.array_equal(serial, blocked)
-    _report("criterion 5: worker-count independence at 2000x32", started, 30)
+    _report("criterion 5: BLAS-budget and worker-count independence at "
+            "2000x32", started, 30)
 
 
 def test_criterion_6_scaling_trend():

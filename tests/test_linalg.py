@@ -31,9 +31,11 @@ class TestCholesky:
         norm = np.abs(spd).sum(axis=1).max()
         assert np.abs(lower @ lower.T - spd).max() <= 1e-12 * norm
 
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            cholesky_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    def test_reads_lower_triangle_only(self):
+        # the strict upper triangle is never read, so junk there is ignored
+        lower = cholesky_factor(np.array([[4.0, 99.0], [2.0, 5.0]]))
+        assert np.array_equal(lower, cholesky_factor(np.array([[4.0, 2.0], [2.0, 5.0]])))
+        assert lower[0, 1] == 0.0
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -89,8 +91,9 @@ class TestRankKUpdate:
             for j in range(nobs):
                 naive[i, j] = sum(v[i, k] * v[j, k] for k in range(nens))
         naive += np.diag(r)
-        assert np.abs(w - naive).max() <= 1e-13 * np.abs(naive).max()
-        assert np.array_equal(w, w.T)
+        # W lives in the lower triangle; the strict upper one is zero
+        assert np.abs(np.tril(w - naive)).max() <= 1e-13 * np.abs(naive).max()
+        assert not np.triu(w, 1).any()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
