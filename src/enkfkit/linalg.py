@@ -15,12 +15,14 @@ from scipy.linalg import blas, lapack
 from .errors import NotPositiveDefiniteError, NumericalFailureError
 
 
-def cholesky_factor(a: np.ndarray) -> np.ndarray:
+def cholesky_factor(a: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
     """Lower-triangular L with L @ L.T == a, read from the lower triangle
     of ``a`` only (its strict upper triangle is never looked at).
 
-    A Fortran-ordered float64 ``a`` is factored in place and returned, so
-    the W of :func:`sym_rank_k_update` is never copied.
+    ``a`` is left as it was unless ``overwrite_a`` is set; then a
+    Fortran-ordered float64 ``a`` is factored in place and returned (and
+    is left partly factored if the factorization fails), so a caller that
+    owns ``a``, like the W of :func:`sym_rank_k_update`, saves a copy.
 
     Raises
     ------
@@ -34,7 +36,7 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    c, info = lapack.dpotrf(a, lower=1, overwrite_a=1, clean=1)
+    c, info = lapack.dpotrf(a, lower=1, overwrite_a=overwrite_a, clean=1)
     if info > 0:
         raise NotPositiveDefiniteError(info - 1)
     if info < 0:  # pragma: no cover - argument errors are caught above

@@ -59,9 +59,7 @@ def run_scaling_study(
     repeats : minimum timings per point; fast measurements are repeated
         until 0.1 s of samples accumulate (up to 100 runs) so scheduler
         and allocator noise cannot distort the cheap end of a sweep. The
-        minimum is recorded. The points of one solver are timed in turn,
-        one solve each, so a change of machine speed during the sweep
-        reaches all of them alike and cannot tilt the slope.
+        minimum is recorded.
 
     Returns
     -------
@@ -83,29 +81,23 @@ def run_scaling_study(
     if not solvers:
         raise ConfigError("at least one solver is required")
 
-    dims = [(value, fixed) if axis == "nobs" else (fixed, value) for value in values]
-    systems = [random_system(make_rng(seed + i), *dim) for i, dim in enumerate(dims)]
-
-    def wanted(samples):
-        return len(samples) < repeats or (sum(samples) < 0.1 and len(samples) < 100)
-
-    best = {}
-    for solver in solvers:
-        for system in systems:
-            solve_analysis(solver, *system)  # warmup, excluded from timing
-        samples = [[] for _ in systems]
-        while any(wanted(s) for s in samples):
-            for system, s in zip(systems, samples):
-                if wanted(s):
-                    t0 = time.perf_counter()
-                    solve_analysis(solver, *system)
-                    s.append(time.perf_counter() - t0)
-        best[solver] = [min(s) for s in samples]
-
     study = ScalingStudy(axis=axis)
-    for i, (nobs, nens) in enumerate(dims):
+    for i, value in enumerate(values):
+        nobs, nens = (value, fixed) if axis == "nobs" else (fixed, value)
+        r, v, d = random_system(make_rng(seed + i), nobs, nens)
         for solver in solvers:
-            study.rows.append(ScalingRow(solver, nobs, nens, best[solver][i]))
+            solve_analysis(solver, r, v, d)  # warmup, excluded from timing
+            best = np.inf
+            total = 0.0
+            runs = 0
+            while runs < repeats or (total < 0.1 and runs < 100):
+                t0 = time.perf_counter()
+                solve_analysis(solver, r, v, d)
+                elapsed = time.perf_counter() - t0
+                best = min(best, elapsed)
+                total += elapsed
+                runs += 1
+            study.rows.append(ScalingRow(solver, nobs, nens, best))
 
     log_x = np.log(np.asarray(values, dtype=float))
     for solver in solvers:

@@ -45,7 +45,7 @@ def solve_cholesky(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()
     w = sym_rank_k_update(v, r)
-    lower = cholesky_factor(w)
+    lower = cholesky_factor(w, overwrite_a=True)
     z, _ = lapack.dpotrs(lower, d, lower=1)
     return SolverResult(z=z, seconds=time.perf_counter() - t0)
 

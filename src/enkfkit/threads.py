@@ -1,33 +1,50 @@
-"""One BLAS thread budget for both OpenBLAS copies in the process.
+"""One BLAS thread budget for every OpenBLAS copy in the process.
 
 numpy and scipy each ship their own OpenBLAS. The Sherman sweep runs on
 scipy's copy and the SVD path on numpy's, so at the default count the idle
-workers of one copy spin while the other copy works.
+workers of one copy spin while the other copy works. The copies are the
+OpenBLAS libraries mapped into the process, however numpy and scipy were
+installed.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import warnings
 from pathlib import Path
 
-import numpy
-import scipy
-import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
+import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS; numpy's is loaded)
 
-_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
-_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
+# scipy-openblas wheels (numpy >= 2.0, scipy >= 1.13) prefix every symbol;
+# older wheels and system builds export the plain OpenBLAS names.
+_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+            "openblas_set_num_threads64_", "openblas_set_num_threads")
+_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+@functools.cache
+def _libraries() -> tuple:
+    """(name, handle) for each OpenBLAS mapped into this process, read
+    on first use."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        maps = ""
+    paths = sorted({line.split()[-1] for line in maps.splitlines()
+                    if "openblas" in line.lower() and ".so" in line})
+    if not paths:
+        warnings.warn("no OpenBLAS library is loaded; the BLAS thread count "
+                      "is left to the environment", RuntimeWarning)
+    return tuple((f"{Path(p).parent.name}/{Path(p).name}", ctypes.CDLL(p))
+                 for p in paths)
 
 
 def _copies(symbols):
-    """(name, first of ``symbols`` or None) for each OpenBLAS that numpy
-    and scipy ship, found next to the loaded modules."""
-    for module in (numpy, scipy):
-        libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
-        for path in sorted(libs.glob("*openblas*.so")):
-            lib = ctypes.CDLL(str(path))
-            found = next((getattr(lib, s) for s in symbols if hasattr(lib, s)), None)
-            yield f"{libs.name}/{path.name}", found
+    """(name, first of ``symbols`` the copy exports, or None) per copy."""
+    for name, lib in _libraries():
+        yield name, next((getattr(lib, s) for s in symbols if hasattr(lib, s)), None)
 
 
 def set_blas_threads(n: int) -> None:

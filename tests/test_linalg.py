@@ -41,6 +41,19 @@ class TestCholesky:
         with pytest.raises(ValueError):
             cholesky_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_input_kept_unless_overwrite_a(self):
+        spd = np.asfortranarray([[4.0, 2.0], [2.0, 5.0]])
+        kept = spd.copy()
+        lower = cholesky_factor(spd)
+        assert np.array_equal(spd, kept) and not np.shares_memory(lower, spd)
+        bad = np.asfortranarray([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky_factor(bad)
+        assert np.array_equal(bad, [[1.0, 2.0], [2.0, 1.0]])
+        # a Fortran-ordered float64 matrix the caller owns is factored in place
+        assert cholesky_factor(spd, overwrite_a=True) is spd
+        assert np.array_equal(spd, lower)
+
 
 class TestSvd:
     def test_diagonal_input(self):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,6 +44,27 @@ def test_missing_setter_warns_and_goes_on(monkeypatch):
     monkeypatch.setattr(threads, "_SETTERS", ("no_such_symbol",))
     with pytest.warns(RuntimeWarning, match="set_num_threads"):
         threads.set_blas_threads(1)
+
+
+def test_plain_openblas_names_are_read(monkeypatch):
+    # OpenBLAS wheels before scipy-openblas (numpy < 2.0, scipy < 1.13)
+    # export the unprefixed names
+    lib = SimpleNamespace(openblas_get_num_threads64_=lambda: 3)
+    monkeypatch.setattr(threads, "_libraries", lambda: (("numpy.libs/libopenblas64_.so", lib),))
+    assert threads.blas_threads() == {"numpy.libs/libopenblas64_.so": 3}
+
+
+def test_no_openblas_loaded_warns(monkeypatch):
+    class Unreadable:
+        def __init__(self, path):
+            pass
+
+        def read_text(self):
+            raise OSError
+
+    monkeypatch.setattr(threads, "Path", Unreadable)
+    with pytest.warns(RuntimeWarning, match="no OpenBLAS"):
+        assert threads._libraries.__wrapped__() == ()
 
 
 def test_manifest_records_budget_and_reloads(tmp_path):
