@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-    enkfkit run --config lorenz-small [--workers 4] [--out runs/demo]
-    enkfkit scale --config lorenz-small --sweep nobs=1000,2000,4000 [--nens 16]
+    enkfkit run --config lorenz-small [--out runs/demo]
+    enkfkit scale --config lorenz-small --sweep nobs=1000,2000,4000 [--fixed 16]
     enkfkit verify
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
@@ -33,9 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True,
                        help="config file path or preset name "
                             "(lorenz-small, lorenz-500, qg33-short)")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="threads for the Sherman sweep's trailing-column "
-                            "updates; no effect on cholesky or svd")
     p_run.add_argument("--out", default=None, help="output directory")
 
     p_scale = sub.add_parser("scale", help="time the solvers over a size sweep")
@@ -66,10 +63,7 @@ def _parse_sweep(text: str):
 
 
 def _cmd_run(args) -> int:
-    overrides = {"workers": args.workers}
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, {"output_dir": args.out})
     manifest = run_experiment(cfg)
     written = emit_csv(manifest, cfg.output_dir)
     for run in manifest.runs:

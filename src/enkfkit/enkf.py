@@ -169,7 +169,6 @@ def analysis_step(
     r: np.ndarray,
     solver: SolverChoice | str = SolverChoice.SHERMAN,
     localization: np.ndarray | None = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """One assimilation update of the background ensemble.
 
@@ -183,7 +182,7 @@ def analysis_step(
     s = member_deviations(x)  # raises ValueError below 2 members
     v = h.apply(s)
     d = innovations(obs, h, x)
-    result = solve_analysis(solver, r, v, d, workers=workers)
+    result = solve_analysis(solver, r, v, d)
     if localization is None:
         return x + s @ (v.T @ result.z)
     delta = np.asarray(localization, dtype=float)

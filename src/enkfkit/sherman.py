@@ -26,11 +26,6 @@ matches the closed form exactly. Both sweeps send every Nobs-sized product
 to ``scipy.linalg.blas``: numpy and scipy each load their own OpenBLAS, and
 a sweep that switches between the two makes their threads wait on each other.
 
-With ``workers > 1`` the trailing columns of each group are split into
-contiguous blocks handled by a thread pool; each column is touched by one
-worker with a fixed per-column operation order, so results match the serial
-sweep to rounding (bitwise for one worker, which runs no pool at all).
-
 The literal recursive evaluation of the same identity, an exponential-cost
 oracle for this sweep, lives in :mod:`enkfkit.verify`.
 """
@@ -38,9 +33,7 @@ oracle for this sweep, lives in :mod:`enkfkit.verify`.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import ddot, dgemm, dgemv, dger
@@ -111,15 +104,6 @@ def validate_system(r, v, d):
     return r, v, d
 
 
-def _partition(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    """Split the column range [lo, hi) into at most ``parts`` contiguous
-    blocks whose sizes differ by at most one, the larger blocks first."""
-    parts = min(parts, hi - lo)
-    size, extra = divmod(hi - lo, max(parts, 1))
-    edges = [lo + i * size + min(i, extra) for i in range(parts + 1)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 # Levels per compound trailing update I - H C V' (see the module docstring).
 GROUP_LEVELS = 8
 
@@ -141,52 +125,40 @@ def _pivot(v, g, k):
     return u / denom
 
 
-def _sweep(r, v, d, workers: int):
+def _sweep(r, v, d):
     """Grouped level iteration (the production path); returns z."""
     nobs, nens = v.shape
     g = _init_workspace(r, v, d)
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    run = pool.map if pool is not None else map
-    try:
-        for k0 in range(0, nens, GROUP_LEVELS):
-            width = min(GROUP_LEVELS, nens - k0)
-            hs = np.empty((nobs, width), order="F")
-            c = np.zeros((width, width))
-            for j in range(width):
-                k = k0 + j
-                vk = v[:, k]
-                h = _pivot(v, g, k)
-                hs[:, j] = h
-                if j > 0:
-                    # compose (I - h v') with the accumulated group operator
-                    w = dgemv(1.0, hs[:, :j], vk, trans=1)
-                    c[j, :j] = -(w @ c[:j, :j])
-                c[j, j] = 1.0
-                if j + 1 < width:
-                    # the remaining pivot columns of the group need this
-                    # level eagerly; the trailing columns can wait
-                    panel = g[:, k + 1:k0 + width]
-                    s = dgemv(1.0, panel, vk, trans=1)
-                    dger(-1.0, h, s, a=panel, overwrite_a=1)
+    for k0 in range(0, nens, GROUP_LEVELS):
+        width = min(GROUP_LEVELS, nens - k0)
+        hs = np.empty((nobs, width), order="F")
+        c = np.zeros((width, width))
+        for j in range(width):
+            k = k0 + j
+            vk = v[:, k]
+            h = _pivot(v, g, k)
+            hs[:, j] = h
+            if j > 0:
+                # compose (I - h v') with the accumulated group operator
+                w = dgemv(1.0, hs[:, :j], vk, trans=1)
+                c[j, :j] = -(w @ c[:j, :j])
+            c[j, j] = 1.0
+            if j + 1 < width:
+                # the remaining pivot columns of the group need this
+                # level eagerly; the trailing columns can wait
+                panel = g[:, k + 1:k0 + width]
+                s = dgemv(1.0, panel, vk, trans=1)
+                dger(-1.0, h, s, a=panel, overwrite_a=1)
 
-            update = partial(_update_trailing, g, v[:, k0:k0 + width], hs, c)
-            # list() waits for every block: the group barrier
-            list(run(update, _partition(k0 + width, 2 * nens, workers)))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+        # the group's trailing update; every column slice of the
+        # Fortran-ordered workspace is F-contiguous, so dgemm updates it
+        # in place
+        trailing = g[:, k0 + width:]
+        s = c @ dgemm(1.0, v[:, k0:k0 + width], trailing, trans_a=1)
+        dgemm(-1.0, hs, s, beta=1.0, c=trailing, overwrite_c=1)
 
     return g[:, nens:].copy()
-
-
-def _update_trailing(g, vblk, hs, c, block):
-    # every column slice of the Fortran-ordered workspace is F-contiguous,
-    # so dgemm updates it in place
-    lo, hi = block
-    trailing = g[:, lo:hi]
-    s = c @ dgemm(1.0, vblk, trailing, trans_a=1)
-    dgemm(-1.0, hs, s, beta=1.0, c=trailing, overwrite_c=1)
 
 
 def _sweep_reference(r, v, d):
@@ -208,14 +180,8 @@ def _sweep_reference(r, v, d):
     return g[:, nens:].copy(), ops
 
 
-def solve_sherman(
-    r: np.ndarray,
-    v: np.ndarray,
-    d: np.ndarray,
-    *,
-    workers: int = 1,
-    count_ops: bool = False,
-) -> SolverResult:
+def solve_sherman(r: np.ndarray, v: np.ndarray, d: np.ndarray, *,
+                  count_ops: bool = False) -> SolverResult:
     """Solve (diag(r) + V V') Z = D by the iterative rank-one sweep.
 
     Parameters
@@ -224,25 +190,19 @@ def solve_sherman(
     v : Nobs x Nens matrix of scaled ensemble deviations in observation
         space (carrying the 1/sqrt(Nens-1) factor).
     d : Nobs x Nens right-hand side of innovations.
-    workers : threads sharing each level group's trailing-column update.
-        Every column is updated by one thread in a fixed order, so for any
-        count the result is within 1e-12 of the serial sweep
-        (``workers=1``, which starts no pool).
-    count_ops : when True, run the serial level-by-level sweep and report
-        the number of multiplications/divisions performed (matches
-        :func:`long_op_count`); ``workers`` is then unused.
+    count_ops : when True, run the level-by-level reference sweep instead
+        of the grouped one and report the number of multiplications and
+        divisions performed (matches :func:`long_op_count`).
 
     Raises
     ------
-    ValueError on ``workers < 1``, inconsistent shapes or non-finite input;
+    ValueError on inconsistent shapes or non-finite input;
     SingularUpdateError when an update denominator vanishes.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()
     if count_ops:
         z, ops = _sweep_reference(r, v, d)
     else:
-        z, ops = _sweep(r, v, d, workers=workers), None
+        z, ops = _sweep(r, v, d), None
     return SolverResult(z=z, seconds=time.perf_counter() - t0, long_ops=ops)

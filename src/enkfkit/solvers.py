@@ -75,19 +75,13 @@ def solve_svd(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     return SolverResult(z=z, seconds=time.perf_counter() - t0)
 
 
-def solve_analysis(
-    choice: SolverChoice | str,
-    r: np.ndarray,
-    v: np.ndarray,
-    d: np.ndarray,
-    workers: int = 1,
-) -> SolverResult:
+def solve_analysis(choice: SolverChoice | str, r: np.ndarray, v: np.ndarray,
+                   d: np.ndarray) -> SolverResult:
     """Dispatch to one of the three solvers, which all take the same
-    scaled ``v`` and validate their input themselves. ``workers`` is the
-    Sherman sweep's thread count; the other solvers ignore it."""
+    scaled ``v`` and validate their input themselves."""
     choice = SolverChoice(choice)
     if choice is SolverChoice.SHERMAN:
-        return solve_sherman(r, v, d, workers=workers)
+        return solve_sherman(r, v, d)
     if choice is SolverChoice.CHOLESKY:
         return solve_cholesky(r, v, d)
     return solve_svd(r, v, d)

