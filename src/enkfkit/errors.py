@@ -13,19 +13,21 @@ class NotPositiveDefiniteError(ArithmeticError):
 
 
 class SingularUpdateError(ArithmeticError):
-    """A rank-one update denominator 1 + v'u fell below tolerance.
+    """A rank-one update denominator 1 + v'u fell below tolerance or overflowed.
 
     The analysis system matrix is positive definite for valid inputs, so
-    hitting this usually means the inputs are corrupted. ``level`` is the
-    1-based ensemble column that produced the near-zero denominator.
+    hitting this usually means the inputs are corrupted or too large.
+    ``level`` is the 1-based ensemble column that produced the denominator.
     """
 
     def __init__(self, level: int, denominator: float):
         self.level = level
         self.denominator = denominator
+        # the guard passes 1e-14 <= |1 + v'u| < inf, so a failing value that
+        # is not tiny is inf or nan
+        state = "is numerically singular" if abs(denominator) < 1 else "overflowed"
         super().__init__(
-            f"rank-one update {level} is numerically singular "
-            f"(1 + v'u = {denominator:.3e})"
+            f"rank-one update {level} {state} (1 + v'u = {denominator:.3e})"
         )
 
 

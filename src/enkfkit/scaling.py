@@ -75,8 +75,8 @@ def run_scaling_study(
         )
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("sweep values must be strictly increasing")
-    if fixed < 1:
-        raise ConfigError("the fixed dimension must be positive")
+    if fixed < 1 or values[0] < 1:
+        raise ConfigError("sweep values and the fixed dimension must be positive")
     solvers = list(solvers)
     if not solvers:
         raise ConfigError("at least one solver is required")

@@ -17,14 +17,15 @@ After Nens levels the D-part holds Z. The solve costs
 O(Nobs Nens) memory.
 
 The production path batches GROUP_LEVELS consecutive updates into one
-compound operator I - H C V' (with C a small lower-triangular composition
-matrix) and applies it to the trailing columns with matrix-matrix kernels,
-so the workspace is streamed once per group rather than once per level.
-The algebra is identical to the level-by-level form; `count_ops=True` runs
-the plain one-update-per-level reference sweep, whose operation count
-matches the closed form exactly. Both sweeps send every Nobs-sized product
-to ``scipy.linalg.blas``: numpy and scipy each load their own OpenBLAS, and
-a sweep that switches between the two makes their threads wait on each other.
+compound operator I - H C V' applied to the trailing columns with
+matrix-matrix kernels. Each group reads one contiguous block V_g of V, and
+C = (I + L)^{-1} comes from one product (L, the strictly lower part of
+V_g' H) and one unit-triangular solve. `count_ops=True` runs the
+algebraically identical one-update-per-level reference sweep, whose
+operation count matches the closed form. Both sweeps send every Nobs-sized
+product to ``scipy.linalg.blas``: numpy and scipy each load their own
+OpenBLAS, and a sweep that switches between the two makes their threads
+wait on each other.
 
 The literal recursive evaluation of the same identity, an exponential-cost
 oracle for this sweep, lives in :mod:`enkfkit.verify`.
@@ -36,12 +37,12 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import ddot, dgemm, dgemv, dger
+from scipy.linalg.blas import ddot, dgemm, dgemv, dger, dtrsm
 
 from .errors import SingularUpdateError
 
 # Guard for |1 + v'u|. The analysis matrix is SPD for valid inputs, so a
-# denominator this small signals corrupted input rather than a hard case.
+# denominator this small, or an overflowed one, signals corrupted input.
 SINGULAR_TOL = 1e-14
 
 
@@ -95,8 +96,8 @@ def validate_system(r, v, d):
         raise ValueError(
             f"column mismatch: V has {v.shape[1]}, D has {d.shape[1]}"
         )
-    if v.shape[1] < 1:
-        raise ValueError("need at least one ensemble column")
+    if min(v.shape) < 1:
+        raise ValueError("need at least one observation and one ensemble column")
     if np.any(r <= 0):
         raise ValueError("observation variances must be positive")
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d)) and np.all(np.isfinite(r))):
@@ -116,13 +117,12 @@ def _init_workspace(r, v, d):
     return g
 
 
-def _pivot(v, g, k):
-    """Level k's pivot h = u / (1 + v_k' u), where u = g[:, k]."""
-    u = g[:, k]
-    denom = 1.0 + ddot(v[:, k], u)
-    if abs(denom) < SINGULAR_TOL:
+def _pivot(vk, u, k, out=None):
+    """Level k's pivot h = u / (1 + vk' u), written to ``out`` if given."""
+    denom = 1.0 + ddot(vk, u)
+    if not SINGULAR_TOL <= abs(denom) < np.inf:  # also false for nan
         raise SingularUpdateError(k + 1, denom)
-    return u / denom
+    return np.divide(u, denom, out=out)
 
 
 def _sweep(r, v, d):
@@ -132,30 +132,25 @@ def _sweep(r, v, d):
 
     for k0 in range(0, nens, GROUP_LEVELS):
         width = min(GROUP_LEVELS, nens - k0)
+        vg = np.asfortranarray(v[:, k0:k0 + width])
         hs = np.empty((nobs, width), order="F")
-        c = np.zeros((width, width))
         for j in range(width):
             k = k0 + j
-            vk = v[:, k]
-            h = _pivot(v, g, k)
-            hs[:, j] = h
-            if j > 0:
-                # compose (I - h v') with the accumulated group operator
-                w = dgemv(1.0, hs[:, :j], vk, trans=1)
-                c[j, :j] = -(w @ c[:j, :j])
-            c[j, j] = 1.0
+            vk = vg[:, j]
+            _pivot(vk, g[:, k], k, out=hs[:, j])
             if j + 1 < width:
                 # the remaining pivot columns of the group need this
                 # level eagerly; the trailing columns can wait
                 panel = g[:, k + 1:k0 + width]
                 s = dgemv(1.0, panel, vk, trans=1)
-                dger(-1.0, h, s, a=panel, overwrite_a=1)
+                dger(-1.0, hs[:, j], s, a=panel, overwrite_a=1)
 
-        # the group's trailing update; every column slice of the
-        # Fortran-ordered workspace is F-contiguous, so dgemm updates it
-        # in place
+        # the group's trailing update T -= H (I + L)^{-1} Vg' T, L strictly
+        # lower in Vg' H; column slices of the Fortran-ordered workspace are
+        # F-contiguous, so dgemm updates them in place
         trailing = g[:, k0 + width:]
-        s = c @ dgemm(1.0, v[:, k0:k0 + width], trailing, trans_a=1)
+        s = dgemm(1.0, vg, trailing, trans_a=1)
+        s = dtrsm(1.0, dgemm(1.0, vg, hs, trans_a=1), s, lower=1, diag=1)
         dgemm(-1.0, hs, s, beta=1.0, c=trailing, overwrite_c=1)
 
     return g[:, nens:].copy()
@@ -169,7 +164,7 @@ def _sweep_reference(r, v, d):
     ops = 2 * nobs * nens
 
     for k in range(nens):
-        h = _pivot(v, g, k)
+        h = _pivot(v[:, k], g[:, k], k)
         # columns 0..k are frozen from here on: the update starts at k + 1
         blk = g[:, k + 1:]
         s = dgemv(1.0, blk, v[:, k], trans=1)
@@ -197,7 +192,7 @@ def solve_sherman(r: np.ndarray, v: np.ndarray, d: np.ndarray, *,
     Raises
     ------
     ValueError on inconsistent shapes or non-finite input;
-    SingularUpdateError when an update denominator vanishes.
+    SingularUpdateError when an update denominator vanishes or overflows.
     """
     r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()

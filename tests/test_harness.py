@@ -393,6 +393,14 @@ class TestCli:
         assert main(["scale", "--config", "lorenz-small",
                      "--sweep", "nobs=10"]) == 2
 
+    @pytest.mark.parametrize("sweep", ["nobs=-3,1,2", "nobs=0,1,2",
+                                       "nens=0,2,4"])
+    def test_scale_nonpositive_sweep_exit_code(self, sweep, capsys):
+        # rejected as configuration, not by numpy or BLAS mid-study
+        assert main(["scale", "--config", "lorenz-small", "--sweep", sweep,
+                     "--repeats", "1"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_scale_small_sweep(self, tmp_path):
         out = tmp_path / "scale"
         code = main(["scale", "--config", "lorenz-small",

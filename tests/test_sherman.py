@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from enkfkit import verify
 from enkfkit.errors import SingularUpdateError
 from enkfkit.rng import make_rng
 from enkfkit.sherman import _sweep, _sweep_reference, long_op_count, solve_sherman
@@ -69,6 +72,18 @@ class TestSolveSherman:
         with pytest.raises(SingularUpdateError):
             _sweep_reference(r, v, d)
 
+    def test_overflowed_pivot_guard(self):
+        # v'u = 2e400 overflows, so 1 + v'u = inf and h = u / inf = 0 would
+        # return Z = D; the guard must raise instead
+        r = np.ones(3)
+        v = 1e200 * np.array([[1.0], [1.0], [0.0]])
+        d = np.ones((3, 1))
+        with pytest.raises(SingularUpdateError, match="overflowed") as info:
+            solve_sherman(r, v, d)
+        assert info.value.level == 1
+        with pytest.raises(SingularUpdateError, match="overflowed"):
+            solve_sherman(r, v, d, count_ops=True)
+
     @pytest.mark.parametrize("nens", [1, 3, 8, 9, 16, 31])
     def test_grouped_path_matches_reference(self, nens):
         # the compound group update is algebraically the level-by-level
@@ -128,6 +143,28 @@ class TestBlocked:
         z = solve_sherman(r, v, d).z
         for layout in (np.asfortranarray(v), wide[:, ::2]):
             assert np.array_equal(solve_sherman(r, layout, d).z, z)
+
+
+class TestGroupedProperties:
+    # Nens below one group, partial last groups and exact multiples of the
+    # group width of 8 all lie in the drawn range
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), nobs=st.integers(1, 300),
+           nens=st.integers(1, 40))
+    @example(seed=0, nobs=1, nens=1)
+    @example(seed=1, nobs=37, nens=8)
+    @example(seed=2, nobs=300, nens=40)
+    @example(seed=3, nobs=5, nens=17)
+    def test_grouped_sweep(self, seed, nobs, nens):
+        r, v, d = verify.random_system(make_rng(seed), nobs, nens)
+        z = _sweep(r, v, d)
+        reference, _ = _sweep_reference(r, v, d)
+        assert np.abs(z - reference).max() <= 1e-12 * max(
+            1.0, np.abs(reference).max())
+        wide = np.zeros((nobs, 2 * nens))
+        wide[:, ::2] = v
+        for layout in (np.asfortranarray(v), wide[:, ::2]):
+            assert np.array_equal(_sweep(r, layout, d), z)
 
 
 class TestOpCount:

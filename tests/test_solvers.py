@@ -126,6 +126,8 @@ def hostile_system(case):
         d = d[:, :-1]
     elif case == "2-D r":
         r = np.diag(r)
+    elif case == "no observations":
+        r, v, d = r[:0], v[:0], d[:0]
     return r, v, d
 
 
@@ -135,7 +137,8 @@ DIRECT = {"sherman": solve_sherman, "cholesky": solve_cholesky,
 
 @pytest.mark.parametrize("case", ["nan in V", "inf in D", "zero in r",
                                   "negative r", "row mismatch",
-                                  "column mismatch", "2-D r"])
+                                  "column mismatch", "2-D r",
+                                  "no observations"])
 @pytest.mark.parametrize("dispatch", [False, True])
 @pytest.mark.parametrize("solver", sorted(DIRECT))
 def test_bad_input_raises_value_error(solver, dispatch, case):
