@@ -8,9 +8,11 @@ coordinates. On top sit the filter cycle, two standard test models
 with deterministic seeding.
 
 Importing the package sets the BLAS thread count for the whole process:
-both OpenBLAS copies (numpy's and scipy's) run one thread, unless
-OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set, in which
-case both are left as that variable made them.
+numpy's own OpenBLAS copy runs one thread and every other copy (scipy's,
+which runs the sweep and the factorizations, or the single copy of a system
+build) one thread per allowed CPU, unless OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS is set, in which case every copy is
+left as that variable made it.
 """
 
 import os
@@ -40,14 +42,14 @@ from .metrics import MetricSeries, elapsed_report, rmse, rse
 from .rng import gaussian_matrix, make_rng
 from .sherman import SolverResult, long_op_count, solve_sherman
 from .solvers import SolverChoice, solve_analysis, solve_cholesky, solve_svd
-from .threads import blas_threads, set_blas_threads
+from .threads import blas_threads, default_budget, set_blas_threads
 from .verify import solve_sherman_recursive
 
 __version__ = "0.1.0"
 
 if not any(os.environ.get(k) for k in
            ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
-    set_blas_threads(1)
+    set_blas_threads(default_budget())
 
 __all__ = [
     "ConfigError",
@@ -65,6 +67,7 @@ __all__ = [
     "analysis_step",
     "blas_threads",
     "cholesky_factor",
+    "default_budget",
     "elapsed_report",
     "emit_csv",
     "ensemble_mean",

@@ -32,7 +32,8 @@ class SingularUpdateError(ArithmeticError):
 
 
 class NumericalFailureError(ArithmeticError):
-    """An iterative numerical routine failed to converge."""
+    """A numerical routine failed: an iteration did not converge, or an
+    intermediate result of finite input overflowed."""
 
 
 class DivergenceError(ArithmeticError):

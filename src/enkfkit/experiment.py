@@ -22,6 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .enkf import (
     SelectionOperator,
@@ -43,7 +44,7 @@ from .observations import (
 )
 from .rng import make_rng
 from .solvers import SolverChoice
-from .threads import blas_threads
+from .threads import allowed_cpus, blas_threads
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -347,7 +348,7 @@ class RunManifest:
     cycles: int
     hashes: dict
     initial_rse: float = float("nan")
-    blas_threads: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)
     runs: list[SolverRun] = field(default_factory=list)
 
     def run_for(self, solver: str) -> SolverRun:
@@ -355,6 +356,14 @@ class RunManifest:
             if run.solver == solver:
                 return run
         raise KeyError(solver)
+
+
+def run_environment() -> dict:
+    """What a run's timings and last bits depend on beyond its config: the
+    BLAS budget, the CPU count the default budget follows, and the numpy and
+    scipy versions."""
+    return {"blas_threads": blas_threads(), "allowed_cpus": allowed_cpus(),
+            "numpy_version": np.__version__, "scipy_version": scipy.__version__}
 
 
 def _sha256(*arrays: np.ndarray) -> str:
@@ -452,7 +461,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         cycles=cycles,
         hashes=hashes,
         initial_rse=cycle_error(0, ens0.mean(axis=1)),
-        blas_threads=blas_threads(),
+        environment=run_environment(),
     )
 
     for solver in cfg.solvers:
@@ -544,7 +553,7 @@ def emit_csv(manifest: RunManifest, outdir: str | Path) -> list[Path]:
         "nobs": manifest.nobs,
         "cycles": manifest.cycles,
         "initial_rse": manifest.initial_rse,
-        "blas_threads": manifest.blas_threads,
+        **manifest.environment,
         "time_labels": TIME_LABELS[model_kind],
         "hashes": manifest.hashes,
         "solvers": {

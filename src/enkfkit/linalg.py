@@ -46,26 +46,30 @@ def cholesky_factor(a: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
 
 def svd_thin(a: np.ndarray):
     """Economy singular value decomposition A = U diag(s) V', with U of
-    shape rows x min(rows, cols).
+    shape rows x min(rows, cols), computed by LAPACK ``dgesdd`` on scipy's
+    BLAS.
 
     Returns
     -------
     (u, s, v) with singular values ``s`` in descending order and
     ``a == u @ diag(s) @ v.T`` up to rounding. Note ``v`` is returned,
-    not its transpose.
+    not its transpose. ``u`` is C-ordered, as numpy's SVD returns it, so
+    products with it round the same way.
 
     Raises
     ------
+    ValueError if ``a`` is not a non-empty matrix or contains NaN;
     NumericalFailureError if the underlying iteration does not converge.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
-    return u, s, vt.T
+    if a.ndim != 2 or min(a.shape) < 1:
+        raise ValueError(f"expected a non-empty matrix, got shape {a.shape}")
+    u, s, vt, info = lapack.dgesdd(a, full_matrices=0)
+    if info > 0:
+        raise NumericalFailureError(f"SVD did not converge (dgesdd info {info})")
+    if info < 0:  # the one argument the checks above leave: a NaN in a
+        raise ValueError(f"invalid argument {-info} to dgesdd")
+    return np.ascontiguousarray(u), s, vt.T
 
 
 def sym_rank_k_update(v: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -117,11 +117,18 @@ def _init_workspace(r, v, d):
     return g
 
 
+def check_denominator(denom: float, level: int) -> None:
+    """Raise SingularUpdateError unless SINGULAR_TOL <= |denom| < inf; the
+    one guard of both sweeps and of the recursive oracle (``level`` is
+    1-based)."""
+    if not SINGULAR_TOL <= abs(denom) < np.inf:  # also false for nan
+        raise SingularUpdateError(level, denom)
+
+
 def _pivot(vk, u, k, out=None):
     """Level k's pivot h = u / (1 + vk' u), written to ``out`` if given."""
     denom = 1.0 + ddot(vk, u)
-    if not SINGULAR_TOL <= abs(denom) < np.inf:  # also false for nan
-        raise SingularUpdateError(k + 1, denom)
+    check_denominator(denom, k + 1)
     return np.divide(u, denom, out=out)
 
 

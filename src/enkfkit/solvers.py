@@ -20,6 +20,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import lapack
 
+from .errors import NumericalFailureError
 from .linalg import cholesky_factor, svd_thin, sym_rank_k_update
 from .sherman import SolverResult, solve_sherman, validate_system
 
@@ -39,13 +40,17 @@ def solve_cholesky(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     factors it in place, and back-substitutes all Nens right-hand sides
     with one LAPACK call. ``v`` must carry the 1/sqrt(Nens-1) scaling.
 
-    Raises ValueError on invalid input, and NotPositiveDefiniteError from
-    the factorization if W is numerically not positive definite.
+    Raises ValueError on invalid input, NumericalFailureError if W
+    overflows, and NotPositiveDefiniteError from the factorization if W is
+    numerically not positive definite.
     """
     r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()
     w = sym_rank_k_update(v, r)
-    lower = cholesky_factor(w, overwrite_a=True)
+    try:
+        lower = cholesky_factor(w, overwrite_a=True)
+    except ValueError as exc:  # W is square and built from finite input
+        raise NumericalFailureError(f"R + V V' overflowed: {exc}") from exc
     z, _ = lapack.dpotrs(lower, d, lower=1)
     return SolverResult(z=z, seconds=time.perf_counter() - t0)
 

@@ -1,17 +1,23 @@
-"""One BLAS thread budget for every OpenBLAS copy in the process.
+"""The BLAS thread budget of every OpenBLAS copy in the process.
 
-numpy and scipy each ship their own OpenBLAS. The Sherman sweep runs on
-scipy's copy and the SVD path on numpy's, so at the default count the idle
-threads of one copy spin while the other copy works. The copies are the
-OpenBLAS libraries mapped into the process, however numpy and scipy were
-installed.
+numpy and scipy each ship their own OpenBLAS. The sweep's products and
+the factorizations (``dsyrk``/``dpotrf`` and the SVD's ``dgesdd``) run on
+scipy's copy; numpy's copy keeps the Nens x Nens products and the SVD
+path's two products with U. The default budget therefore gives numpy's
+copy (the one mapped from numpy's ``numpy.libs``) one thread, so no idle
+workers of it spin against the other copy, and every other copy (scipy's,
+or the single copy of a system build) one thread per allowed CPU. The
+copies are the OpenBLAS libraries mapped into the process, however numpy
+and scipy were installed.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import os
 import warnings
+from collections.abc import Mapping
 from pathlib import Path
 
 import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS; numpy's is loaded)
@@ -47,19 +53,42 @@ def _copies(symbols):
         yield name, next((getattr(lib, s) for s in symbols if hasattr(lib, s)), None)
 
 
-def set_blas_threads(n: int) -> None:
-    """Set every OpenBLAS copy to ``n`` threads; a copy that exports no
-    setter keeps its count, with a warning. OpenBLAS reads ``n < 1`` as
-    "every CPU", so that raises ValueError and no copy changes."""
-    if n < 1:
-        raise ValueError(f"BLAS thread count must be at least 1, got {n}")
+def allowed_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def default_budget() -> dict:
+    """The budget enkfkit sets at import: numpy's own copy gets one thread,
+    every other copy one per allowed CPU."""
+    return {name: 1 if name.startswith("numpy.libs/") else allowed_cpus()
+            for name, _ in _libraries()}
+
+
+def set_blas_threads(n: int | Mapping[str, int]) -> None:
+    """Set every OpenBLAS copy to ``n`` threads, or each copy named in the
+    mapping ``n`` to its own count, so ``set_blas_threads(blas_threads())``
+    restores a budget (a copy that is not named, or named with None, keeps
+    its count). A copy that exports no setter keeps its count, with a
+    warning. OpenBLAS reads a count below 1 as "every CPU", so that raises
+    ValueError and no copy changes."""
+    uniform = not isinstance(n, Mapping)
+    if uniform:
+        counts = {name: n for name, _ in _libraries()}
+    else:
+        counts = {name: c for name, c in n.items() if c is not None}
+    for c in [n] if uniform else counts.values():
+        if c < 1:
+            raise ValueError(f"BLAS thread count must be at least 1, got {c}")
     for name, setter in _copies(_SETTERS):
+        if name not in counts:
+            continue
         if setter is None:
             warnings.warn(f"{name} exports no set_num_threads symbol; "
                           "its thread count is unchanged", RuntimeWarning)
         else:
             setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(n)
+            setter(counts[name])
 
 
 def blas_threads() -> dict:

@@ -13,12 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .enkf import SelectionOperator, ObservationBatch, analysis_step, member_deviations
-from .errors import SingularUpdateError
 from .linalg import sym_rank_k_update
 from .models import lorenz96, qg
 from .models.qg import QGConfig
 from .rng import make_rng
-from .sherman import SINGULAR_TOL, long_op_count, solve_sherman
+from .sherman import check_denominator, long_op_count, solve_sherman
 from .solvers import solve_cholesky, solve_svd
 
 # (Nens, Nobs) pairs of the operation-count audit.
@@ -99,8 +98,7 @@ def _recurse(r, v, x, k, tag, log):
     g = _recurse(r, v, v[:, k - 1], k - 1, k, log)
     vk = v[:, k - 1]
     denom = 1.0 + float(vk @ g)
-    if abs(denom) < SINGULAR_TOL:
-        raise SingularUpdateError(k, denom)
+    check_denominator(denom, k)
     return f - g * (float(vk @ f) / denom)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from enkfkit.errors import NotPositiveDefiniteError
+from enkfkit import linalg
+from enkfkit.errors import NotPositiveDefiniteError, NumericalFailureError
 from enkfkit.linalg import cholesky_factor, svd_thin, sym_rank_k_update
 from enkfkit.rng import gaussian_matrix, make_rng
 
@@ -80,6 +81,29 @@ class TestSvd:
         norm = np.linalg.norm(a)
         assert np.abs(u @ np.diag(s) @ v.T - a).max() <= 1e-10 * norm
         assert np.all(np.diff(s) <= 0)
+
+    def test_u_is_c_ordered(self):
+        # numpy's SVD returned a C-ordered U, and the products in solve_svd
+        # round differently on a Fortran-ordered one
+        a = make_rng(15).standard_normal((40, 7))
+        u, s, v = svd_thin(a)
+        assert u.shape == (40, 7) and u.flags.c_contiguous
+        assert np.abs(u @ np.diag(s) @ v.T - a).max() <= 1e-12 * np.linalg.norm(a)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        def failing(a, full_matrices):
+            k = min(a.shape)
+            return np.zeros((a.shape[0], k)), np.zeros(k), np.zeros((k, a.shape[1])), 3
+
+        monkeypatch.setattr(linalg.lapack, "dgesdd", failing)
+        with pytest.raises(NumericalFailureError, match="converge"):
+            svd_thin(np.eye(3))
+
+    @pytest.mark.parametrize("a", [np.zeros((3, 0)), np.zeros(3),
+                                   np.array([[np.nan, 0.0], [0.0, 1.0]])])
+    def test_rejects_bad_input(self, a):
+        with pytest.raises(ValueError):
+            svd_thin(a)
 
 
 class TestRankKUpdate:

@@ -121,6 +121,15 @@ class TestRecursive:
         assert log.count(2) == 2
         assert log.count(3) == 1
 
+    def test_overflowed_denominator_raises(self):
+        # the oracle shares the sweep's guard: 1 + v'u = inf would otherwise
+        # give g * (v'f / inf) = 0 and return x unchanged
+        v = 1e200 * np.array([[1.0], [1.0], [0.0]])
+        with np.errstate(over="ignore"), pytest.raises(
+                SingularUpdateError, match="overflowed") as info:
+            solve_sherman_recursive(np.ones(3), v, np.ones(3))
+        assert info.value.level == 1
+
     def test_size_cap(self):
         r, v, d = random_system(72, 10, 9)
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enkfkit import solvers
-from enkfkit.errors import NotPositiveDefiniteError
+from enkfkit.errors import NotPositiveDefiniteError, NumericalFailureError
 from enkfkit.rng import make_rng
 from enkfkit.solvers import SolverChoice, solve_analysis, solve_cholesky, solve_svd
 from enkfkit.sherman import solve_sherman
@@ -40,6 +40,13 @@ class TestCholeskySolver:
             solve_cholesky(np.array([1e-20, 1e-20]), np.array([[1e10], [1e10]]),
                            np.ones((2, 1)))
         assert info.value.pivot == 1
+
+    def test_overflow_is_numerical_failure(self):
+        # finite input whose R + V V' overflows (2e400) is a numerical
+        # failure, like the sweep's overflowed pivot, not bad input
+        v = 1e200 * np.array([[1.0], [1.0], [0.0]])
+        with pytest.raises(NumericalFailureError, match="overflowed"):
+            solve_cholesky(np.ones(3), v, np.ones((3, 1)))
 
 
 class TestSvdSolver:

@@ -5,7 +5,9 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+import scipy
 
 import enkfkit
 from enkfkit import threads
@@ -27,17 +29,45 @@ def _budget_after_import(**variables) -> dict:
     return json.loads(out.stdout)
 
 
-def _assert_both_copies(counts: dict, n: int):
-    assert {name.split("/")[0] for name in counts} == {"numpy.libs", "scipy.libs"}
-    assert set(counts.values()) == {n}
+def _assert_both_copies(counts: dict, numpy_n: int, scipy_n: int):
+    assert {name.split("/")[0]: n for name, n in counts.items()} == {
+        "numpy.libs": numpy_n, "scipy.libs": scipy_n}
 
 
 def test_import_sets_one_thread_without_variables():
-    _assert_both_copies(_budget_after_import(), 1)
+    # numpy's copy keeps one thread; scipy's, which runs the heavy kernels,
+    # gets one per allowed CPU
+    _assert_both_copies(_budget_after_import(), 1, len(os.sched_getaffinity(0)))
 
 
 def test_variable_overrides_the_budget():
-    _assert_both_copies(_budget_after_import(OPENBLAS_NUM_THREADS="2"), 2)
+    _assert_both_copies(_budget_after_import(OPENBLAS_NUM_THREADS="2"), 2, 2)
+
+
+def test_single_copy_gets_every_cpu(monkeypatch):
+    # a system build loads one OpenBLAS that numpy and scipy share
+    got = []
+    lib = SimpleNamespace(openblas_set_num_threads=lambda n: got.append(n))
+    monkeypatch.setattr(threads, "_libraries",
+                        lambda: (("x86_64-linux-gnu/libopenblas.so.0", lib),))
+    monkeypatch.setattr(threads, "allowed_cpus", lambda: 6)
+    budget = threads.default_budget()
+    assert budget == {"x86_64-linux-gnu/libopenblas.so.0": 6}
+    threads.set_blas_threads(budget)
+    assert got == [6]
+
+
+def test_budget_round_trip():
+    before = threads.blas_threads()
+    with pytest.raises(ValueError):
+        threads.set_blas_threads({name: 0 for name in before})
+    assert threads.blas_threads() == before
+    try:
+        threads.set_blas_threads(2)
+        assert set(threads.blas_threads().values()) == {2}
+    finally:
+        threads.set_blas_threads(before)
+    assert threads.blas_threads() == before
 
 
 def test_missing_setter_warns_and_goes_on(monkeypatch):
@@ -83,4 +113,7 @@ def test_manifest_records_budget_and_reloads(tmp_path):
     payload = json.loads((tmp_path / "manifest.json").read_text())
     assert payload["blas_threads"] == threads.blas_threads()
     assert payload["blas_threads"]
+    assert payload["allowed_cpus"] == len(os.sched_getaffinity(0))
+    assert (payload["numpy_version"], payload["scipy_version"]) == (
+        np.__version__, scipy.__version__)
     assert load_config(str(tmp_path / "manifest.json")) == cfg
