@@ -8,14 +8,12 @@ coordinates. On top sit the filter cycle, two standard test models
 with deterministic seeding.
 
 Importing the package sets the BLAS thread count for the whole process:
-numpy's own OpenBLAS copy runs one thread and every other copy (scipy's,
-which runs the sweep and the factorizations, or the single copy of a system
-build) one thread per allowed CPU, unless OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS or OMP_NUM_THREADS is set, in which case every copy is
-left as that variable made it.
+every OpenBLAS copy (numpy's and scipy's) runs one thread, and a dense
+Cholesky solve of at least 1000 observations runs scipy's copy on two
+threads where two CPUs are allowed (see :mod:`enkfkit.threads`), unless
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set, in which
+case every copy is left as that variable made it.
 """
-
-import os
 
 from .enkf import (
     ObservationBatch,
@@ -42,14 +40,13 @@ from .metrics import MetricSeries, elapsed_report, rmse, rse
 from .rng import gaussian_matrix, make_rng
 from .sherman import SolverResult, long_op_count, solve_sherman
 from .solvers import SolverChoice, solve_analysis, solve_cholesky, solve_svd
-from .threads import blas_threads, default_budget, set_blas_threads
+from . import threads
+from .threads import blas_threads, set_blas_threads
 from .verify import solve_sherman_recursive
 
 __version__ = "0.1.0"
 
-if not any(os.environ.get(k) for k in
-           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
-    set_blas_threads(default_budget())
+threads.use_default_budget()
 
 __all__ = [
     "ConfigError",
@@ -67,7 +64,6 @@ __all__ = [
     "analysis_step",
     "blas_threads",
     "cholesky_factor",
-    "default_budget",
     "elapsed_report",
     "emit_csv",
     "ensemble_mean",

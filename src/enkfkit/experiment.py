@@ -360,8 +360,8 @@ class RunManifest:
 
 def run_environment() -> dict:
     """What a run's timings and last bits depend on beyond its config: the
-    BLAS budget, the CPU count the default budget follows, and the numpy and
-    scipy versions."""
+    BLAS budget, the allowed CPU count (which sets the thread count of large
+    Cholesky solves), and the numpy and scipy versions."""
     return {"blas_threads": blas_threads(), "allowed_cpus": allowed_cpus(),
             "numpy_version": np.__version__, "scipy_version": scipy.__version__}
 

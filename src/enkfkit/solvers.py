@@ -23,6 +23,7 @@ from scipy.linalg import lapack
 from .errors import NumericalFailureError
 from .linalg import cholesky_factor, svd_thin, sym_rank_k_update
 from .sherman import SolverResult, solve_sherman, validate_system
+from .threads import factorization_threads
 
 
 class SolverChoice(str, Enum):
@@ -38,7 +39,10 @@ def solve_cholesky(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
 
     Forms the lower triangle of W = diag(r) + V V' (O(Nobs^2) memory),
     factors it in place, and back-substitutes all Nens right-hand sides
-    with one LAPACK call. ``v`` must carry the 1/sqrt(Nens-1) scaling.
+    with one LAPACK call, on more than one BLAS thread from
+    ``threads.PARALLEL_ORDER`` observations up
+    (:func:`enkfkit.threads.factorization_threads`). ``v`` must carry the
+    1/sqrt(Nens-1) scaling.
 
     Raises ValueError on invalid input, NumericalFailureError if W
     overflows, and NotPositiveDefiniteError from the factorization if W is
@@ -46,12 +50,13 @@ def solve_cholesky(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     """
     r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()
-    w = sym_rank_k_update(v, r)
-    try:
-        lower = cholesky_factor(w, overwrite_a=True)
-    except ValueError as exc:  # W is square and built from finite input
-        raise NumericalFailureError(f"R + V V' overflowed: {exc}") from exc
-    z, _ = lapack.dpotrs(lower, d, lower=1)
+    with factorization_threads(r.shape[0]):
+        w = sym_rank_k_update(v, r)
+        try:
+            lower = cholesky_factor(w, overwrite_a=True)
+        except ValueError as exc:  # W is square and built from finite input
+            raise NumericalFailureError(f"R + V V' overflowed: {exc}") from exc
+        z, _ = lapack.dpotrs(lower, d, lower=1)
     return SolverResult(z=z, seconds=time.perf_counter() - t0)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,8 +11,10 @@ import pytest
 import scipy
 
 import enkfkit
-from enkfkit import threads
-from enkfkit.experiment import ExperimentConfig, emit_csv, load_config, run_experiment
+from enkfkit import solvers, threads
+from enkfkit.experiment import (ExperimentConfig, emit_csv, load_config, run_environment,
+                                run_experiment)
+from enkfkit.linalg import cholesky_factor
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -35,26 +38,135 @@ def _assert_both_copies(counts: dict, numpy_n: int, scipy_n: int):
 
 
 def test_import_sets_one_thread_without_variables():
-    # numpy's copy keeps one thread; scipy's, which runs the heavy kernels,
-    # gets one per allowed CPU
-    _assert_both_copies(_budget_after_import(), 1, len(os.sched_getaffinity(0)))
+    _assert_both_copies(_budget_after_import(), 1, 1)
 
 
 def test_variable_overrides_the_budget():
     _assert_both_copies(_budget_after_import(OPENBLAS_NUM_THREADS="2"), 2, 2)
 
 
-def test_single_copy_gets_every_cpu(monkeypatch):
-    # a system build loads one OpenBLAS that numpy and scipy share
-    got = []
-    lib = SimpleNamespace(openblas_set_num_threads=lambda n: got.append(n))
+def _fake_copies(monkeypatch, *names, cpus=6):
+    """Mocked OpenBLAS copies, each at one thread, and ``cpus`` allowed CPUs;
+    returns the copies' counts by name."""
+    counts = dict.fromkeys(names, 1)
+
+    def lib(name):
+        return SimpleNamespace(
+            openblas_set_num_threads=lambda n: counts.__setitem__(name, n),
+            openblas_get_num_threads=lambda: counts[name])
+
     monkeypatch.setattr(threads, "_libraries",
-                        lambda: (("x86_64-linux-gnu/libopenblas.so.0", lib),))
-    monkeypatch.setattr(threads, "allowed_cpus", lambda: 6)
-    budget = threads.default_budget()
-    assert budget == {"x86_64-linux-gnu/libopenblas.so.0": 6}
-    threads.set_blas_threads(budget)
-    assert got == [6]
+                        lambda: tuple((name, lib(name)) for name in names))
+    monkeypatch.setattr(threads, "allowed_cpus", lambda: cpus)
+    monkeypatch.setattr(threads, "_SET_BY_ENVIRONMENT", False)
+    return counts
+
+
+@pytest.mark.parametrize("names, raised", [
+    (("numpy.libs/libscipy_openblas64_.so", "scipy.libs/libscipy_openblas.so"),
+     {"numpy.libs/libscipy_openblas64_.so": 1, "scipy.libs/libscipy_openblas.so": 2}),
+    # a system build loads one OpenBLAS that numpy and scipy share
+    (("x86_64-linux-gnu/libopenblas.so.0",), {"x86_64-linux-gnu/libopenblas.so.0": 2}),
+])
+def test_large_factorization_raises_all_but_numpys_copy(monkeypatch, names, raised):
+    counts = _fake_copies(monkeypatch, *names)
+    with threads.factorization_threads(threads.PARALLEL_ORDER - 1):
+        assert set(counts.values()) == {1}
+    with threads.factorization_threads(threads.PARALLEL_ORDER):
+        assert counts == raised
+    assert set(counts.values()) == {1}
+    with pytest.raises(ZeroDivisionError):
+        with threads.factorization_threads(threads.PARALLEL_ORDER):
+            1 / 0
+    assert set(counts.values()) == {1}
+
+
+def test_overlapping_factorizations_restore_once(monkeypatch):
+    counts = _fake_copies(monkeypatch, "scipy.libs/libscipy_openblas.so")
+    first = threads.factorization_threads(threads.PARALLEL_ORDER)
+    second = threads.factorization_threads(threads.PARALLEL_ORDER)
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)
+    assert counts == {"scipy.libs/libscipy_openblas.so": 2}
+    second.__exit__(None, None, None)
+    assert counts == {"scipy.libs/libscipy_openblas.so": 1}
+
+
+def test_factorizations_in_many_threads(monkeypatch):
+    counts = _fake_copies(monkeypatch, "scipy.libs/libscipy_openblas.so")
+    seen = set()
+
+    def solve():
+        for _ in range(200):
+            with threads.factorization_threads(threads.PARALLEL_ORDER):
+                seen.add(counts["scipy.libs/libscipy_openblas.so"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=solve) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+            assert not w.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == {2}
+    assert counts == {"scipy.libs/libscipy_openblas.so": 1}
+
+
+def test_large_factorization_never_lowers_a_count(monkeypatch):
+    counts = _fake_copies(monkeypatch, "scipy.libs/libscipy_openblas.so")
+    threads.set_blas_threads(5)
+    with threads.factorization_threads(threads.PARALLEL_ORDER):
+        assert counts == {"scipy.libs/libscipy_openblas.so": 5}
+    assert counts == {"scipy.libs/libscipy_openblas.so": 5}
+
+
+@pytest.mark.parametrize("cpus, variable", [(1, False), (6, True)])
+def test_one_cpu_or_a_variable_keeps_the_budget(monkeypatch, cpus, variable):
+    counts = _fake_copies(monkeypatch, "scipy.libs/libscipy_openblas.so", cpus=cpus)
+    monkeypatch.setattr(threads, "_SET_BY_ENVIRONMENT", variable)
+    with threads.factorization_threads(10 * threads.PARALLEL_ORDER):
+        assert counts == {"scipy.libs/libscipy_openblas.so": 1}
+
+
+@pytest.mark.parametrize("nobs", [threads.PARALLEL_ORDER - 1, threads.PARALLEL_ORDER])
+def test_solve_cholesky_threads_follow_nobs(monkeypatch, nobs):
+    monkeypatch.setattr(threads, "allowed_cpus", lambda: 4)
+    monkeypatch.setattr(threads, "_SET_BY_ENVIRONMENT", False)
+    seen = []
+
+    def factor(*args, **kwargs):
+        seen.append(threads.blas_threads())
+        return cholesky_factor(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "cholesky_factor", factor)
+    before = threads.blas_threads()
+    rng = np.random.default_rng(1)
+    solvers.solve_cholesky(np.ones(nobs), rng.standard_normal((nobs, 3)),
+                           rng.standard_normal((nobs, 3)))
+    want = {name: c if name.startswith("numpy.libs/") or nobs < threads.PARALLEL_ORDER
+            else max(2, c) for name, c in before.items()}
+    assert seen == [want]
+    assert threads.blas_threads() == before
+
+
+def test_allowed_cpus_without_affinity_or_under_a_quota(monkeypatch, tmp_path):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    cpu_max = tmp_path / "cpu.max"
+    monkeypatch.setattr(threads, "_CPU_MAX", cpu_max)
+    assert threads.allowed_cpus() == 8          # no cgroup file
+    assert run_environment()["allowed_cpus"] == 8
+    cpu_max.write_text("max 100000\n")
+    assert threads.allowed_cpus() == 8
+    cpu_max.write_text("250000 100000\n")
+    assert threads.allowed_cpus() == 2
+    cpu_max.write_text("50000 100000\n")
+    assert threads.allowed_cpus() == 1
 
 
 def test_budget_round_trip():
@@ -113,7 +225,7 @@ def test_manifest_records_budget_and_reloads(tmp_path):
     payload = json.loads((tmp_path / "manifest.json").read_text())
     assert payload["blas_threads"] == threads.blas_threads()
     assert payload["blas_threads"]
-    assert payload["allowed_cpus"] == len(os.sched_getaffinity(0))
+    assert payload["allowed_cpus"] == threads.allowed_cpus()
     assert (payload["numpy_version"], payload["scipy_version"]) == (
         np.__version__, scipy.__version__)
     assert load_config(str(tmp_path / "manifest.json")) == cfg
