@@ -31,6 +31,7 @@ far inside the RK4 stability region for the QG33 preset.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -132,13 +133,23 @@ def _pad(grid: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _laplacian(padded: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """5-point Laplacian of a padded field, evaluated on the interior."""
-    c = padded[1:-1, 1:-1]
-    return (
-        (padded[2:, 1:-1] - 2.0 * c + padded[:-2, 1:-1]) / (hx * hx)
-        + (padded[1:-1, 2:] - 2.0 * c + padded[1:-1, :-2]) / (hy * hy)
-    )
+def _laplacian(padded: np.ndarray, hx: float, hy: float,
+               out: np.ndarray | None = None,
+               work: np.ndarray | None = None) -> np.ndarray:
+    """5-point Laplacian of a padded field, evaluated on the interior.
+
+    ``out`` and ``work`` are optional interior-shaped buffers (``out`` may
+    be a view); without them the result and one temporary are allocated.
+    """
+    c2 = np.multiply(padded[1:-1, 1:-1], 2.0, out=out)
+    lap_y = np.subtract(padded[1:-1, 2:], c2, out=work)
+    lap_y += padded[1:-1, :-2]
+    lap_y /= hy * hy
+    lap = np.subtract(padded[2:, 1:-1], c2, out=c2)
+    lap += padded[:-2, 1:-1]
+    lap /= hx * hx
+    lap += lap_y
+    return lap
 
 
 @lru_cache(maxsize=8)
@@ -186,6 +197,87 @@ def helmholtz_apply(psi: np.ndarray, cfg: QGConfig) -> np.ndarray:
     return _to_flat(out, cfg)
 
 
+class _Scratch:
+    """Work arrays for one interior grid shape (nx, ny[, k]).
+
+    Held per thread by :func:`_scratch` and reused by every call, so a
+    tendency allocates only what it returns. The padded fields are zeroed
+    once and only their interiors are written, so the zero ring stays.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        nx, ny, batch = shape[0], shape[1], shape[2:]
+
+        def grid(ex: int, ey: int, fill=np.empty) -> np.ndarray:
+            return fill((nx + ex, ny + ey) + batch)
+
+        # Padded Jacobian operands f and g, and zeta and lap zeta.
+        self.fp, self.gp, self.zp, self.lp = (grid(2, 2, np.zeros)
+                                              for _ in range(4))
+        self.f, self.g = self.fp[1:-1, 1:-1], self.gp[1:-1, 1:-1]
+        # gdx[i] = g[i+1] - g[i-1] on every column of the pad, gdy the same
+        # along y on every row; j2 reads f gdy and f gdx at two shifts each.
+        self.gdx, self.f_gdx = grid(0, 2), grid(0, 2)
+        self.gdy, self.f_gdy = grid(2, 0), grid(2, 0)
+        # j3's diagonal differences: anti[a, b] = g[a, b+1] - g[a+1, b]
+        # and diag[a, b] = g[a+1, b+1] - g[a, b].
+        self.anti, self.diag = grid(1, 1), grid(1, 1)
+        self.work, self.work2, self.psi_x, self.bilap = (grid(0, 0)
+                                                         for _ in range(4))
+        self.stage = np.empty((nx * ny,) + batch)  # the flat RK4 stage state
+
+    def load(self, f: np.ndarray, g: np.ndarray) -> None:
+        """Pad ``f`` and ``g`` and take the differences of ``g``."""
+        self.f[...] = f
+        self.g[...] = g
+        gp = self.gp
+        np.subtract(gp[2:], gp[:-2], out=self.gdx)
+        np.subtract(gp[:, 2:], gp[:, :-2], out=self.gdy)
+
+    def jacobian(self, hx: float, hy: float) -> np.ndarray:
+        """Arakawa Jacobian of the loaded fields, into a new array."""
+        fp, gp, gdx, gdy = self.fp, self.gp, self.gdx, self.gdy
+        t, u = self.work, self.work2
+        jac = np.empty(t.shape)
+        # j1 = f_x g_y - f_y g_x
+        np.subtract(fp[2:, 1:-1], fp[:-2, 1:-1], out=t)
+        np.multiply(t, gdy[1:-1], out=jac)
+        np.subtract(fp[1:-1, 2:], fp[1:-1, :-2], out=u)
+        u *= gdx[:, 1:-1]
+        jac -= u
+        # j2 = (f g_y)[i+1] - (f g_y)[i-1] - (f g_x)[j+1] + (f g_x)[j-1]
+        f_gdy = np.multiply(fp[:, 1:-1], gdy, out=self.f_gdy)
+        f_gdx = np.multiply(fp[1:-1], gdx, out=self.f_gdx)
+        np.subtract(f_gdy[2:], f_gdy[:-2], out=t)
+        t -= f_gdx[:, 2:]
+        t += f_gdx[:, :-2]
+        jac += t
+        # j3, the corner terms
+        anti = np.subtract(gp[:-1, 1:], gp[1:, :-1], out=self.anti)
+        diag = np.subtract(gp[1:, 1:], gp[:-1, :-1], out=self.diag)
+        np.multiply(fp[2:, 2:], anti[1:, 1:], out=t)
+        t -= np.multiply(fp[:-2, :-2], anti[:-1, :-1], out=u)
+        t -= np.multiply(fp[:-2, 2:], diag[:-1, 1:], out=u)
+        t += np.multiply(fp[2:, :-2], diag[1:, :-1], out=u)
+        jac += t
+        jac /= 12.0 * hx * hy
+        return jac
+
+
+_SCRATCH_SHAPES = 4  # grid shapes whose work arrays a thread keeps
+_local = threading.local()
+
+
+def _scratch(shape: tuple[int, ...]) -> _Scratch:
+    """This thread's work arrays for ``shape``, least recently used evicted."""
+    sets = _local.__dict__.setdefault("sets", {})
+    scratch = sets.pop(shape, None) or _Scratch(shape)
+    sets[shape] = scratch
+    if len(sets) > _SCRATCH_SHAPES:
+        del sets[next(iter(sets))]
+    return scratch
+
+
 def arakawa_jacobian(f: np.ndarray, g: np.ndarray,
                      hx: float, hy: float) -> np.ndarray:
     """Conservative discretization of df/dx dg/dy - df/dy dg/dx.
@@ -197,27 +289,18 @@ def arakawa_jacobian(f: np.ndarray, g: np.ndarray,
     alone telescopes to zero over the whole grid including the boundary
     ring (where J is generally nonzero even though the fields vanish),
     while the f- and g-weighted sums vanish already on the interior.
-    """
-    fp = _pad(np.asarray(f, dtype=float))
-    gp = _pad(np.asarray(g, dtype=float))
 
-    j1 = (
-        (fp[2:, 1:-1] - fp[:-2, 1:-1]) * (gp[1:-1, 2:] - gp[1:-1, :-2])
-        - (fp[1:-1, 2:] - fp[1:-1, :-2]) * (gp[2:, 1:-1] - gp[:-2, 1:-1])
-    )
-    j2 = (
-        fp[2:, 1:-1] * (gp[2:, 2:] - gp[2:, :-2])
-        - fp[:-2, 1:-1] * (gp[:-2, 2:] - gp[:-2, :-2])
-        - fp[1:-1, 2:] * (gp[2:, 2:] - gp[:-2, 2:])
-        + fp[1:-1, :-2] * (gp[2:, :-2] - gp[:-2, :-2])
-    )
-    j3 = (
-        fp[2:, 2:] * (gp[1:-1, 2:] - gp[2:, 1:-1])
-        - fp[:-2, :-2] * (gp[:-2, 1:-1] - gp[1:-1, :-2])
-        - fp[:-2, 2:] * (gp[1:-1, 2:] - gp[:-2, 1:-1])
-        + fp[2:, :-2] * (gp[2:, 1:-1] - gp[1:-1, :-2])
-    )
-    return (j1 + j2 + j3) / (12.0 * hx * hy)
+    Fields that :func:`tendency` has already loaded into this thread's
+    work arrays are used in place.
+    """
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if f.shape != g.shape:
+        raise ValueError(f"field shapes differ: {f.shape} and {g.shape}")
+    scratch = _scratch(f.shape)
+    if f is not scratch.f or g is not scratch.g:
+        scratch.load(f, g)
+    return scratch.jacobian(hx, hy)
 
 
 @lru_cache(maxsize=8)
@@ -229,52 +312,73 @@ def _forcing_field(cfg: QGConfig) -> np.ndarray:
 
 
 def tendency(q: np.ndarray, cfg: QGConfig) -> np.ndarray:
-    """Right-hand side dq/dt for flat states (nstate,) or (nstate, k)."""
+    """Right-hand side dq/dt for flat states (nstate,) or (nstate, k).
+
+    The terms of the module docstring are summed left to right, in place
+    into the array the Jacobian returns.
+    """
     q = np.asarray(q, dtype=float)
-    single = q.ndim == 1
     psi = helmholtz_solve(q, cfg)
     qg = _to_grid(q, cfg)
     pg = _to_grid(psi, cfg)
-    zeta = qg + cfg.froude * pg
-
-    jac = arakawa_jacobian(qg, pg, cfg.hx, cfg.hy)
-    ppad = _pad(pg)
-    psi_x = (ppad[2:, 1:-1] - ppad[:-2, 1:-1]) / (2.0 * cfg.hx)
-    lap_zeta = _laplacian(_pad(zeta), cfg.hx, cfg.hy)
-    bilap_zeta = _laplacian(_pad(lap_zeta), cfg.hx, cfg.hy)
+    s = _scratch(qg.shape)
+    s.load(qg, pg)  # the Jacobian below reads the loaded fields in place
+    psi_x = np.divide(s.gdx[:, 1:-1], 2.0 * cfg.hx, out=s.psi_x)
+    zeta = np.multiply(s.g, cfg.froude, out=s.zp[1:-1, 1:-1])
+    np.add(s.f, zeta, out=zeta)
+    dq = arakawa_jacobian(s.f, s.g, cfg.hx, cfg.hy)
+    lap_zeta = _laplacian(s.zp, cfg.hx, cfg.hy, s.lp[1:-1, 1:-1], s.work)
+    bilap_zeta = _laplacian(s.lp, cfg.hx, cfg.hy, s.bilap, s.work)
     forcing = _forcing_field(cfg)
-    if not single:
+    if q.ndim == 2:
         forcing = forcing[:, :, None]
 
-    dq = (
-        -cfg.rossby * jac
-        - cfg.beta * psi_x
-        - cfg.rkb * zeta
-        + cfg.rkh * lap_zeta
-        - cfg.rkh2 * bilap_zeta
-        + forcing
-    )
+    dq *= -cfg.rossby
+    psi_x *= cfg.beta
+    dq -= psi_x
+    dq -= np.multiply(zeta, cfg.rkb, out=s.work)
+    dq += np.multiply(lap_zeta, cfg.rkh, out=s.work)
+    bilap_zeta *= cfg.rkh2
+    dq -= bilap_zeta
+    dq += forcing
     return _to_flat(dq, cfg)
 
 
 def rk4_step(q: np.ndarray, cfg: QGConfig, dt: float | None = None) -> np.ndarray:
-    """One RK4 step (dt defaults to the configured step; dt = 0 is the identity)."""
+    """One RK4 step (dt defaults to the configured step; dt = 0 is the identity).
+
+    q + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right into k1. Each
+    term is added as soon as it is known, so the next tendency can reuse
+    the memory of the last; the stage states share one buffer.
+    """
     q = np.asarray(q, dtype=float)
     if dt is None:
         dt = cfg.dt
+    stage = _scratch(cfg.interior_shape + q.shape[1:]).stage
+
+    def stage_state(k: np.ndarray, h: float) -> np.ndarray:  # q + h k
+        return np.add(q, np.multiply(k, h, out=stage), out=stage)
+
     k1 = tendency(q, cfg)
-    k2 = tendency(q + 0.5 * dt * k1, cfg)
-    k3 = tendency(q + 0.5 * dt * k2, cfg)
-    k4 = tendency(q + dt * k3, cfg)
-    return q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = tendency(stage_state(k1, 0.5 * dt), cfg)
+    stage_state(k2, 0.5 * dt)
+    k1 += np.multiply(k2, 2.0, out=k2)
+    del k2
+    k3 = tendency(stage, cfg)
+    stage_state(k3, dt)
+    k1 += np.multiply(k3, 2.0, out=k3)
+    del k3
+    k1 += tendency(stage, cfg)
+    k1 *= dt / 6.0
+    k1 += q
+    return k1
 
 
 def _check_bounded(q: np.ndarray):
-    finite = np.isfinite(q)
-    if np.all(finite) and np.abs(q).max() <= _BLOWUP_LIMIT:
+    if np.abs(q).max() <= _BLOWUP_LIMIT:  # NaN compares False
         return
     if q.ndim == 2:
-        bad_col = ~(finite.all(axis=0) & (np.abs(q).max(axis=0) <= _BLOWUP_LIMIT))
+        bad_col = ~(np.abs(q).max(axis=0) <= _BLOWUP_LIMIT)
         raise DivergenceError("vorticity blew up", member=int(np.argmax(bad_col)))
     raise DivergenceError("vorticity blew up")
 

@@ -71,13 +71,17 @@ def solve_svd(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
         Z = R^{-1/2} (U (diag{1/(s_i^2 + 1)} - I) U' + I) R^{-1/2} D
 
     Raises ValueError on invalid input, and NumericalFailureError if the
-    SVD does not converge.
+    SVD does not converge or the whitened V overflows (its singular values
+    come back NaN, which would turn all of Z into NaN).
     """
     r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()
     root_r = np.sqrt(r)
     b = v / root_r[:, None]
     u, s, _ = svd_thin(b)
+    if not np.isfinite(s).all():
+        raise NumericalFailureError(
+            f"diag(r)^(-1/2) V overflowed: singular values {s}")
     dw = d / root_r[:, None]
     shrink = 1.0 / (s * s + 1.0) - 1.0
     zw = dw + u @ (shrink[:, None] * (u.T @ dw))

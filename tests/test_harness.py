@@ -15,6 +15,7 @@ from enkfkit.experiment import (
     run_experiment,
 )
 from enkfkit.scaling import emit_scaling_csv, run_scaling_study
+from enkfkit.solvers import solve_analysis
 
 
 def tiny_config(**overrides):
@@ -385,6 +386,28 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "solver 'sherman'" in err and "cycle 2" in err
+
+    @pytest.mark.parametrize("solver", ["sherman", "cholesky", "svd"])
+    def test_overflowed_solve_exit_code(self, solver, tmp_path, monkeypatch,
+                                        capsys):
+        # each solver's own overflow error reaches the exit code
+        def overflowing_step(x, *args, **kwargs):
+            v = 1e200 * np.array([[1.0], [1.0], [0.0]])
+            with np.errstate(over="ignore"):
+                solve_analysis(solver, 1e-300 * np.ones(3), v, np.ones((3, 1)))
+            return x
+
+        monkeypatch.setattr(experiment, "analysis_step", overflowing_step)
+        cfg = tmp_path / "tiny.ini"
+        cfg.write_text(
+            "[experiment]\nname = tiny\nmodel = lorenz96\n"
+            f"solvers = {solver}\nsteps = 4\nanalysis_interval = 2\n"
+            "[model]\nnstate = 12\nspinup_steps = 5\n[ensemble]\nnens = 4\n"
+        )
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"solver {solver!r}" in err and "overflowed" in err
 
     def test_missing_config_exit_code(self):
         assert main(["run", "--config", "definitely-not-a-preset"]) == 2

@@ -157,6 +157,34 @@ def test_bad_input_raises_value_error(solver, dispatch, case):
             DIRECT[solver](r, v, d)
 
 
+def overflow_system():
+    # finite input that overflows in every solver: V V' = 2e400 for
+    # Cholesky, v'u = 2e700 for the sweep, V / sqrt(r) = 1e350 for SVD
+    return (1e-300 * np.ones(3), 1e200 * np.array([[1.0], [1.0], [0.0]]),
+            np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("dispatch", [False, True])
+@pytest.mark.parametrize("solver", sorted(DIRECT))
+def test_overflow_raises_arithmetic_error(solver, dispatch):
+    # an ArithmeticError is what `enkfkit run` turns into exit code 3
+    r, v, d = overflow_system()
+    with pytest.raises(ArithmeticError, match="overflowed"), \
+            np.errstate(over="ignore"):
+        if dispatch:
+            solve_analysis(solver, r, v, d)
+        else:
+            DIRECT[solver](r, v, d)
+
+
+def test_svd_overflow_is_numerical_failure():
+    # dgesdd reports success on the inf matrix but returns s = [nan],
+    # which made all of Z NaN
+    with pytest.raises(NumericalFailureError, match="singular values"), \
+            np.errstate(over="ignore"):
+        solve_svd(*overflow_system())
+
+
 class TestDispatch:
     def test_by_name_and_enum(self):
         r, v, d = random_system(5, 20, 4)
