@@ -44,10 +44,14 @@ def cholesky_factor(a: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
     return c
 
 
-def svd_thin(a: np.ndarray):
+def svd_thin(a: np.ndarray, *, overwrite_a: bool = False):
     """Economy singular value decomposition A = U diag(s) V', with U of
     shape rows x min(rows, cols), computed by LAPACK ``dgesdd`` on scipy's
     BLAS.
+
+    ``a`` is left as it was unless ``overwrite_a`` is set; then a
+    Fortran-ordered float64 ``a`` is factored in place (and destroyed), so
+    a caller that owns ``a`` saves ``dgesdd`` a copy.
 
     Returns
     -------
@@ -64,7 +68,8 @@ def svd_thin(a: np.ndarray):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or min(a.shape) < 1:
         raise ValueError(f"expected a non-empty matrix, got shape {a.shape}")
-    u, s, vt, info = lapack.dgesdd(a, full_matrices=0)
+    u, s, vt, info = lapack.dgesdd(a, full_matrices=0,
+                                   overwrite_a=overwrite_a)
     if info > 0:
         raise NumericalFailureError(f"SVD did not converge (dgesdd info {info})")
     if info < 0:  # the one argument the checks above leave: a NaN in a

@@ -16,16 +16,24 @@ After Nens levels the D-part holds Z. The solve costs
 3 (Nens^2 Nobs + Nens Nobs) multiplications and divisions and
 O(Nobs Nens) memory.
 
-The production path batches GROUP_LEVELS consecutive updates into one
-compound operator I - H C V' applied to the trailing columns with
-matrix-matrix kernels. Each group reads one contiguous block V_g of V, and
-C = (I + L)^{-1} comes from one product (L, the strictly lower part of
-V_g' H) and one unit-triangular solve. `count_ops=True` runs the
-algebraically identical one-update-per-level reference sweep, whose
-operation count matches the closed form. Both sweeps send every Nobs-sized
-product to ``scipy.linalg.blas``: numpy and scipy each load their own
-OpenBLAS, and a sweep that switches between the two makes their threads
-wait on each other.
+The production path batches levels into compound operators I - H C V_b',
+where H holds the pivots h_i of the batched levels, V_b their columns of V,
+and C = (I + L)^{-1} with L the strictly lower part of V_b' H; matrix-matrix
+kernels apply them. Once level k is done, h_k overwrites column k of the
+V-part. Groups of GROUP_LEVELS levels update only the V-part, whose later
+columns the next pivots need; each group first copies its columns of V
+into one Fortran-ordered buffer of the solve. After the last group the
+D-part takes all Nens levels at once, Z = R^{-1} D - H C V' R^{-1} D with
+H the whole V-part: two products with k = Nobs, one Nens x Nens
+unit-triangular solve and one product with k = Nens. That is about
+4 Nens^2 Nobs multiplications, against the 3 Nens^2 Nobs of the literal
+sweep, but no group carries the Nens D-part columns along, and the
+D-part's products are well-shaped matrix-matrix calls. `count_ops=True`
+runs the algebraically identical one-update-per-level reference sweep, whose
+operation count matches the closed form. Both sweeps send every
+Nobs-sized product to ``scipy.linalg.blas``: numpy and scipy each load
+their own OpenBLAS, and a sweep that switches between the two makes their
+threads wait on each other.
 
 The literal recursive evaluation of the same identity, an exponential-cost
 oracle for this sweep, lives in :mod:`enkfkit.verify`.
@@ -105,8 +113,12 @@ def validate_system(r, v, d):
     return r, v, d
 
 
-# Levels per compound trailing update I - H C V' (see the module docstring).
+# Levels per compound update I - H C V' (see the module docstring).
 GROUP_LEVELS = 8
+
+# Rows per block when gathering a group's columns of V: the strided rows of
+# a C-ordered V that one block reads stay in cache until they are copied.
+_GATHER_ROWS = 1024
 
 
 def _init_workspace(r, v, d):
@@ -132,34 +144,48 @@ def _pivot(vk, u, k, out=None):
     return np.divide(u, denom, out=out)
 
 
+def _apply_levels(vb, h, t, trans_a=1):
+    """T -= H (I + L)^{-1} Vb' T in place, L strictly lower in Vb' H: the
+    product of the levels whose pivots are the columns of H. ``vb`` is Vb
+    (or Vb' if ``trans_a`` is 0); column slices of the Fortran-ordered
+    workspace are F-contiguous, so dgemm updates T in place."""
+    s = dgemm(1.0, vb, t, trans_a=trans_a)
+    s = dtrsm(1.0, dgemm(1.0, vb, h, trans_a=trans_a), s, lower=1, diag=1,
+              overwrite_b=1)
+    dgemm(-1.0, h, s, beta=1.0, c=t, overwrite_c=1)
+
+
 def _sweep(r, v, d):
     """Grouped level iteration (the production path); returns z."""
     nobs, nens = v.shape
     g = _init_workspace(r, v, d)
+    vg = np.empty((nobs, GROUP_LEVELS), order="F")
 
     for k0 in range(0, nens, GROUP_LEVELS):
         width = min(GROUP_LEVELS, nens - k0)
-        vg = np.asfortranarray(v[:, k0:k0 + width])
-        hs = np.empty((nobs, width), order="F")
+        for i in range(0, nobs, _GATHER_ROWS):
+            rows = slice(i, i + _GATHER_ROWS)
+            vg[rows, :width] = v[rows, k0:k0 + width]
         for j in range(width):
             k = k0 + j
             vk = vg[:, j]
-            _pivot(vk, g[:, k], k, out=hs[:, j])
+            # h_k overwrites u_k, which no later level reads
+            _pivot(vk, g[:, k], k, out=g[:, k])
             if j + 1 < width:
                 # the remaining pivot columns of the group need this
                 # level eagerly; the trailing columns can wait
                 panel = g[:, k + 1:k0 + width]
                 s = dgemv(1.0, panel, vk, trans=1)
-                dger(-1.0, hs[:, j], s, a=panel, overwrite_a=1)
+                dger(-1.0, g[:, k], s, a=panel, overwrite_a=1)
+        if k0 + width < nens:
+            _apply_levels(vg[:, :width], g[:, k0:k0 + width],
+                          g[:, k0 + width:nens])
 
-        # the group's trailing update T -= H (I + L)^{-1} Vg' T, L strictly
-        # lower in Vg' H; column slices of the Fortran-ordered workspace are
-        # F-contiguous, so dgemm updates them in place
-        trailing = g[:, k0 + width:]
-        s = dgemm(1.0, vg, trailing, trans_a=1)
-        s = dtrsm(1.0, dgemm(1.0, vg, hs, trans_a=1), s, lower=1, diag=1)
-        dgemm(-1.0, hs, s, beta=1.0, c=trailing, overwrite_c=1)
-
+    # all Nens levels at once on the D-part; V' of a C-ordered V is an
+    # F-contiguous view that dgemm reads without a copy, and any other
+    # layout gets one C-ordered copy, so Z does not depend on the layout
+    _apply_levels(np.ascontiguousarray(v).T, g[:, :nens], g[:, nens:],
+                  trans_a=0)
     return g[:, nens:].copy()
 
 

@@ -77,8 +77,9 @@ def solve_svd(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()
     root_r = np.sqrt(r)
-    b = v / root_r[:, None]
-    u, s, _ = svd_thin(b)
+    # whitened straight into the Fortran order dgesdd factors in place
+    b = np.divide(v, root_r[:, None], out=np.empty(v.shape, order="F"))
+    u, s, _ = svd_thin(b, overwrite_a=True)
     if not np.isfinite(s).all():
         raise NumericalFailureError(
             f"diag(r)^(-1/2) V overflowed: singular values {s}")

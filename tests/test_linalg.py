@@ -91,7 +91,7 @@ class TestSvd:
         assert np.abs(u @ np.diag(s) @ v.T - a).max() <= 1e-12 * np.linalg.norm(a)
 
     def test_no_convergence_raises(self, monkeypatch):
-        def failing(a, full_matrices):
+        def failing(a, full_matrices, overwrite_a=False):
             k = min(a.shape)
             return np.zeros((a.shape[0], k)), np.zeros(k), np.zeros((k, a.shape[1])), 3
 

@@ -1,8 +1,15 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import enkfkit
 from enkfkit import verify
 from enkfkit.errors import SingularUpdateError
 from enkfkit.rng import make_rng
@@ -141,17 +148,70 @@ class TestRecursive:
             solve_sherman_recursive(r, v, d[:, 0], k=3)
 
 
+def layouts(a):
+    """``a`` as C-ordered, Fortran-ordered and column-strided arrays."""
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+    wide[:, ::2] = a
+    return np.ascontiguousarray(a), np.asfortranarray(a), wide[:, ::2]
+
+
+def assert_layout_independent(solve, r, v, d):
+    """Z is bitwise the same for every layout of V and of D, comes back
+    C-ordered, and r, V and D are left as they were."""
+    z = solve(r, v, d)
+    assert z.flags.c_contiguous
+    inputs = (r.copy(), v.copy(), d.copy())
+    for vl in layouts(v):
+        for dl in layouts(d):
+            assert np.array_equal(solve(r, vl, dl), z)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(inputs, (r, vl, dl)))
+
+
 class TestBlocked:
     @pytest.mark.parametrize("nobs,nens", [(300, 12), (200, 16), (2000, 32)])
     def test_layout_bitwise_equal(self, nobs, nens):
-        # every product the sweep makes with V goes to one BLAS whatever the
-        # memory layout of V, so Z does not depend on it
+        # every product the sweep makes with V goes to one BLAS on one
+        # layout of V whatever the caller's, so Z does not depend on it
         r, v, d = random_system(81, nobs, nens)
-        wide = np.zeros((nobs, 2 * nens))
-        wide[:, ::2] = v
-        z = solve_sherman(r, v, d).z
-        for layout in (np.asfortranarray(v), wide[:, ::2]):
-            assert np.array_equal(solve_sherman(r, layout, d).z, z)
+        assert_layout_independent(lambda *a: solve_sherman(*a).z, r, v, d)
+
+    def test_pivot_guard_in_later_group(self):
+        # levels 1-9 see zero columns; level 10, the second of the second
+        # group, meets 1 + v'u = 1 - 1 = 0
+        v = np.zeros((1, 12))
+        v[0, 9:] = 1.0
+        with pytest.raises(SingularUpdateError) as info:
+            _sweep(np.array([-1.0]), v, np.ones((1, 12)))
+        assert info.value.level == 10
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the mmap threshold behaviour is glibc's")
+    @pytest.mark.parametrize("nobs,nens", [(8000, 16), (20000, 64)])
+    def test_repeated_solves_do_not_page_fault(self, nobs, nens):
+        # glibc serves allocations above its mmap threshold with fresh,
+        # zero-filled pages; a repeated solve must reuse heap memory
+        # instead. A fresh process, since earlier tests raise the threshold.
+        script = f"""
+import resource
+import numpy as np
+from enkfkit.sherman import solve_sherman
+rng = np.random.default_rng(82)
+r = rng.uniform(0.5, 2.0, {nobs})
+v, d = rng.standard_normal((2, {nobs}, {nens}))
+for _ in range(3):
+    solve_sherman(r, v, d)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    solve_sherman(r, v, d)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+        src = str(Path(enkfkit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert float(out.stdout) < 100
 
 
 class TestGroupedProperties:
@@ -170,10 +230,7 @@ class TestGroupedProperties:
         reference, _ = _sweep_reference(r, v, d)
         assert np.abs(z - reference).max() <= 1e-12 * max(
             1.0, np.abs(reference).max())
-        wide = np.zeros((nobs, 2 * nens))
-        wide[:, ::2] = v
-        for layout in (np.asfortranarray(v), wide[:, ::2]):
-            assert np.array_equal(_sweep(r, layout, d), z)
+        assert_layout_independent(_sweep, r, v, d)
 
 
 class TestOpCount:
