@@ -2,8 +2,8 @@
 
 The observation-space system matrix is a positive diagonal R plus a sum of
 Nens rank-one terms v_k v_k'. Rather than forming the Nobs x Nobs matrix,
-the solver sweeps one Sherman-Morrison update per ensemble column over a
-shared workspace G = [V-part, D-part] of 2 Nens columns:
+the paper's algorithm sweeps one Sherman-Morrison update per ensemble
+column over a shared workspace G = [V-part, D-part] of 2 Nens columns:
 
 * level 0 divides every column of G by r elementwise (the pure-R solve);
 * level k picks the pivot column u_k (the k-th V-part column, which at this
@@ -16,24 +16,25 @@ After Nens levels the D-part holds Z. The solve costs
 3 (Nens^2 Nobs + Nens Nobs) multiplications and divisions and
 O(Nobs Nens) memory.
 
-The production path batches levels into compound operators I - H C V_b',
-where H holds the pivots h_i of the batched levels, V_b their columns of V,
-and C = (I + L)^{-1} with L the strictly lower part of V_b' H; matrix-matrix
-kernels apply them. Once level k is done, h_k overwrites column k of the
-V-part. Groups of GROUP_LEVELS levels update only the V-part, whose later
-columns the next pivots need; each group first copies its columns of V
-into one Fortran-ordered buffer of the solve. After the last group the
-D-part takes all Nens levels at once, Z = R^{-1} D - H C V' R^{-1} D with
-H the whole V-part: two products with k = Nobs, one Nens x Nens
-unit-triangular solve and one product with k = Nens. That is about
-4 Nens^2 Nobs multiplications, against the 3 Nens^2 Nobs of the literal
-sweep, but no group carries the Nens D-part columns along, and the
-D-part's products are well-shaped matrix-matrix calls. `count_ops=True`
-runs the algebraically identical one-update-per-level reference sweep, whose
-operation count matches the closed form. Both sweeps send every
-Nobs-sized product to ``scipy.linalg.blas``: numpy and scipy each load
-their own OpenBLAS, and a sweep that switches between the two makes their
-threads wait on each other.
+The production path runs the same recurrence in ensemble space. Level
+k's denominator 1 + v_k' u_k is the k-th pivot of the LDL' factorization of
+the Nens x Nens capacitance matrix C = I + V' R^{-1} V (the Schur complement
+of the earlier levels, by Woodbury), so the sweep's result is
+Z = R^{-1} D - P C^{-1} V' R^{-1} D with P = R^{-1} V, the V-part after
+level 0. Two products with k = Nobs form C and V' R^{-1} D, a Cholesky
+factorization and solve take the Nens x Nens part, and one product with
+k = Nens updates the D-part in place: 3 Nens^2 Nobs + O(Nens^3)
+multiplications, the sweep's leading term. The squared diagonal of the
+factor holds the sweep's denominators. When the factorization stops or a
+pivot fails the guard, the solve falls back to the literal sweep, which
+forms every denominator from Nobs-space vectors: it raises at the level
+that fails, or returns Z where the pivots of C lost their digits (a
+duplicated column of a large V). `count_ops=True` runs the literal sweep
+too, and its operation count matches the closed form. Every Nobs-sized
+product goes to ``scipy.linalg.blas`` and the factorization to
+``scipy.linalg.lapack``: numpy and scipy each load their own OpenBLAS, and
+a solve that switches between the two makes their threads wait on each
+other.
 
 The literal recursive evaluation of the same identity, an exponential-cost
 oracle for this sweep, lives in :mod:`enkfkit.verify`.
@@ -45,7 +46,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import ddot, dgemm, dgemv, dger, dtrsm
+from scipy.linalg.blas import ddot, dgemm, dgemv, dger
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import SingularUpdateError
 
@@ -113,14 +115,6 @@ def validate_system(r, v, d):
     return r, v, d
 
 
-# Levels per compound update I - H C V' (see the module docstring).
-GROUP_LEVELS = 8
-
-# Rows per block when gathering a group's columns of V: the strided rows of
-# a C-ordered V that one block reads stay in cache until they are copied.
-_GATHER_ROWS = 1024
-
-
 def _init_workspace(r, v, d):
     nobs, nens = v.shape
     g = np.empty((nobs, 2 * nens), order="F")
@@ -131,61 +125,32 @@ def _init_workspace(r, v, d):
 
 def check_denominator(denom: float, level: int) -> None:
     """Raise SingularUpdateError unless SINGULAR_TOL <= |denom| < inf; the
-    one guard of both sweeps and of the recursive oracle (``level`` is
+    one guard of the sweep and of the recursive oracle (``level`` is
     1-based)."""
     if not SINGULAR_TOL <= abs(denom) < np.inf:  # also false for nan
         raise SingularUpdateError(level, denom)
 
 
-def _pivot(vk, u, k, out=None):
-    """Level k's pivot h = u / (1 + vk' u), written to ``out`` if given."""
-    denom = 1.0 + ddot(vk, u)
-    check_denominator(denom, k + 1)
-    return np.divide(u, denom, out=out)
-
-
-def _apply_levels(vb, h, t, trans_a=1):
-    """T -= H (I + L)^{-1} Vb' T in place, L strictly lower in Vb' H: the
-    product of the levels whose pivots are the columns of H. ``vb`` is Vb
-    (or Vb' if ``trans_a`` is 0); column slices of the Fortran-ordered
-    workspace are F-contiguous, so dgemm updates T in place."""
-    s = dgemm(1.0, vb, t, trans_a=trans_a)
-    s = dtrsm(1.0, dgemm(1.0, vb, h, trans_a=trans_a), s, lower=1, diag=1,
-              overwrite_b=1)
-    dgemm(-1.0, h, s, beta=1.0, c=t, overwrite_c=1)
-
-
 def _sweep(r, v, d):
-    """Grouped level iteration (the production path); returns z."""
-    nobs, nens = v.shape
+    """All Nens levels in ensemble space (the production path); returns z."""
+    nens = v.shape[1]
     g = _init_workspace(r, v, d)
-    vg = np.empty((nobs, GROUP_LEVELS), order="F")
-
-    for k0 in range(0, nens, GROUP_LEVELS):
-        width = min(GROUP_LEVELS, nens - k0)
-        for i in range(0, nobs, _GATHER_ROWS):
-            rows = slice(i, i + _GATHER_ROWS)
-            vg[rows, :width] = v[rows, k0:k0 + width]
-        for j in range(width):
-            k = k0 + j
-            vk = vg[:, j]
-            # h_k overwrites u_k, which no later level reads
-            _pivot(vk, g[:, k], k, out=g[:, k])
-            if j + 1 < width:
-                # the remaining pivot columns of the group need this
-                # level eagerly; the trailing columns can wait
-                panel = g[:, k + 1:k0 + width]
-                s = dgemv(1.0, panel, vk, trans=1)
-                dger(-1.0, g[:, k], s, a=panel, overwrite_a=1)
-        if k0 + width < nens:
-            _apply_levels(vg[:, :width], g[:, k0:k0 + width],
-                          g[:, k0 + width:nens])
-
-    # all Nens levels at once on the D-part; V' of a C-ordered V is an
-    # F-contiguous view that dgemm reads without a copy, and any other
-    # layout gets one C-ordered copy, so Z does not depend on the layout
-    _apply_levels(np.ascontiguousarray(v).T, g[:, :nens], g[:, nens:],
-                  trans_a=0)
+    # V' of a C-ordered V is an F-contiguous view that dgemm reads without
+    # a copy, and any other layout gets one C-ordered copy, so Z does not
+    # depend on the layout
+    vt = np.ascontiguousarray(v).T
+    c = dgemm(1.0, vt, g[:, :nens])
+    c.flat[::nens + 1] += 1.0
+    s = dgemm(1.0, vt, g[:, nens:])
+    c, info = dpotrf(c, lower=1, overwrite_a=1)
+    # the squared diagonal of the factor holds the sweep's denominators;
+    # when one fails the guard, or the factorization stops, the literal
+    # sweep forms them from Nobs-space vectors and decides
+    pivots = np.diag(c) ** 2
+    if info > 0 or not np.all((SINGULAR_TOL <= pivots) & (pivots < np.inf)):
+        return _sweep_reference(r, v, d)[0]
+    s, _ = dpotrs(c, s, lower=1, overwrite_b=1)
+    dgemm(-1.0, g[:, :nens], s, beta=1.0, c=g[:, nens:], overwrite_c=1)
     return g[:, nens:].copy()
 
 
@@ -197,7 +162,9 @@ def _sweep_reference(r, v, d):
     ops = 2 * nobs * nens
 
     for k in range(nens):
-        h = _pivot(v[:, k], g[:, k], k)
+        denom = 1.0 + ddot(v[:, k], g[:, k])
+        check_denominator(denom, k + 1)
+        h = g[:, k] / denom
         # columns 0..k are frozen from here on: the update starts at k + 1
         blk = g[:, k + 1:]
         s = dgemv(1.0, blk, v[:, k], trans=1)
@@ -218,9 +185,10 @@ def solve_sherman(r: np.ndarray, v: np.ndarray, d: np.ndarray, *,
     v : Nobs x Nens matrix of scaled ensemble deviations in observation
         space (carrying the 1/sqrt(Nens-1) factor).
     d : Nobs x Nens right-hand side of innovations.
-    count_ops : when True, run the level-by-level reference sweep instead
-        of the grouped one and report the number of multiplications and
-        divisions performed (matches :func:`long_op_count`).
+    count_ops : when True, run the literal level-by-level sweep instead
+        of its ensemble-space form and report the number of
+        multiplications and divisions performed (matches
+        :func:`long_op_count`).
 
     Raises
     ------

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import enkfkit
-from enkfkit import verify
+from enkfkit import sherman, verify
 from enkfkit.errors import SingularUpdateError
 from enkfkit.rng import make_rng
 from enkfkit.sherman import _sweep, _sweep_reference, long_op_count, solve_sherman
@@ -93,13 +93,94 @@ class TestSolveSherman:
 
     @pytest.mark.parametrize("nens", [1, 3, 8, 9, 16, 31])
     def test_grouped_path_matches_reference(self, nens):
-        # the compound group update is algebraically the level-by-level
-        # sweep; group boundaries (width 8) must not matter
+        # the ensemble-space solve is algebraically the level-by-level
+        # sweep: the pivots of I + V'R^-1 V are its denominators
         r, v, d = random_system(56 + nens, 150, nens)
         grouped = solve_sherman(r, v, d).z
         reference, _ = _sweep_reference(r, v, d)
         assert np.abs(grouped - reference).max() <= 1e-12 * max(
             1.0, np.abs(reference).max())
+
+    def test_fallback_on_lost_gram_pivot(self):
+        # column 1 duplicates column 0 and V is scaled by 1e7, so the
+        # capacitance matrix I + V'R^-1 V holds entries near 1e16 and its
+        # second pivot, about 2 in exact arithmetic, cancels to 0; the
+        # literal sweep, which forms 1 + v'u from Nobs-space vectors,
+        # solves the system
+        rng = make_rng(57)
+        r = np.ones(200)
+        v = rng.standard_normal((200, 8))
+        v[:, 1] = v[:, 0]
+        v *= 1e7
+        d = rng.standard_normal((200, 8))
+        z = solve_sherman(r, v, d).z
+        reference, _ = _sweep_reference(r, v, d)
+        assert np.abs(z - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_ordinary_system_skips_fallback(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the literal sweep ran")
+
+        r, v, d = random_system(58, 300, 24)
+        monkeypatch.setattr(sherman, "_sweep_reference", fail)
+        z = solve_sherman(r, v, d).z
+        assert np.abs(z - dense_solve(r, v, d)).max() <= 1e-11
+
+
+def hostile_system(seed, nobs, nens, r_exps, v_exp, n_dup, n_zero):
+    """An analysis system with r log-uniform between the powers of ten in
+    ``r_exps``, V scaled by 10**v_exp, ``n_dup`` columns of V copied from
+    kept columns and ``n_zero`` columns zeroed (at least one kept)."""
+    rng = make_rng(seed)
+    r = 10.0 ** rng.uniform(min(r_exps), max(r_exps), nobs)
+    v = 10.0 ** v_exp * rng.standard_normal((nobs, nens))
+    d = rng.standard_normal((nobs, nens))
+    cols = rng.permutation(nens)
+    n_dup = min(n_dup, nens - 1)
+    n_zero = min(n_zero, nens - 1 - n_dup)
+    kept = cols[n_dup + n_zero:]
+    for j in cols[:n_dup]:
+        v[:, j] = v[:, rng.choice(kept)]
+    v[:, cols[n_dup:n_dup + n_zero]] = 0.0
+    return r, v, d
+
+
+def backward_error(r, v, d, z):
+    """Normwise backward error of Z for (diag(r) + V V') Z = D."""
+    residual = r[:, None] * z + v @ (v.T @ z) - d
+    scale = ((r.max() + np.linalg.norm(v, 2) ** 2) * np.linalg.norm(z)
+             + np.linalg.norm(d))
+    return np.linalg.norm(residual) / scale
+
+
+class TestHostileInputs:
+    # r over twelve decades, V over six, rank-deficient V, fewer
+    # observations than members and the smallest ensemble. The bound is
+    # 1e-4, except where the system's amplification g = |V|_2^2 / min r
+    # puts the cancellation in R^-1 D - R^-1 V (...) above it: every
+    # Sherman-Morrison-Woodbury form, the literal sweep included, loses
+    # about eps g there (r = 1e-6, V ~ 1e3, Nobs = 3, Nens = 20 reads
+    # 1.1e-4 to 1.3e-3 on the sweeps and 5.0e-3 on the SVD solve)
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), nobs=st.integers(1, 60),
+           nens=st.integers(2, 24),
+           r_exps=st.tuples(st.floats(-6, 6), st.floats(-6, 6)),
+           v_exp=st.floats(-3, 3), n_dup=st.integers(0, 4),
+           n_zero=st.integers(0, 4))
+    @example(seed=0, nobs=40, nens=2, r_exps=(-6, 6), v_exp=3, n_dup=1,
+             n_zero=0)
+    @example(seed=1, nobs=3, nens=20, r_exps=(-6, -6), v_exp=3, n_dup=4,
+             n_zero=4)
+    @example(seed=2, nobs=60, nens=12, r_exps=(6, 6), v_exp=-3, n_dup=0,
+             n_zero=4)
+    def test_small_backward_error(self, seed, nobs, nens, r_exps, v_exp,
+                                  n_dup, n_zero):
+        r, v, d = hostile_system(seed, nobs, nens, r_exps, v_exp, n_dup,
+                                 n_zero)
+        z = solve_sherman(r, v, d).z
+        amplification = np.linalg.norm(v, 2) ** 2 / r.min()
+        bound = max(1e-4, 10 * np.finfo(float).eps * amplification)
+        assert backward_error(r, v, d, z) <= bound
 
 
 class TestRecursive:
@@ -177,8 +258,8 @@ class TestBlocked:
         assert_layout_independent(lambda *a: solve_sherman(*a).z, r, v, d)
 
     def test_pivot_guard_in_later_group(self):
-        # levels 1-9 see zero columns; level 10, the second of the second
-        # group, meets 1 + v'u = 1 - 1 = 0
+        # levels 1-9 see zero columns; level 10 meets 1 + v'u = 1 - 1 = 0,
+        # so dpotrf stops there and the literal sweep's guard reports it
         v = np.zeros((1, 12))
         v[0, 9:] = 1.0
         with pytest.raises(SingularUpdateError) as info:
@@ -187,7 +268,8 @@ class TestBlocked:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the mmap threshold behaviour is glibc's")
-    @pytest.mark.parametrize("nobs,nens", [(8000, 16), (20000, 64)])
+    @pytest.mark.parametrize("nobs,nens",
+                             [(8000, 16), (500, 200), (20000, 64)])
     def test_repeated_solves_do_not_page_fault(self, nobs, nens):
         # glibc serves allocations above its mmap threshold with fresh,
         # zero-filled pages; a repeated solve must reuse heap memory
@@ -215,8 +297,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
 
 
 class TestGroupedProperties:
-    # Nens below one group, partial last groups and exact multiples of the
-    # group width of 8 all lie in the drawn range
+    # from one member to 40, and from one observation to 300, including
+    # fewer observations than members, the ensemble-space solve matches
+    # the level-by-level sweep
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), nobs=st.integers(1, 300),
            nens=st.integers(1, 40))
