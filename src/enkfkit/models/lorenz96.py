@@ -42,20 +42,57 @@ def tendency(x: np.ndarray, forcing: float) -> np.ndarray:
 def rk4_step(x: np.ndarray, dt: float, forcing: float) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step (dt = 0 is the identity)."""
     x = np.asarray(x, dtype=float)
-    k1 = tendency(x, forcing)
-    k2 = tendency(x + 0.5 * dt * k1, forcing)
-    k3 = tendency(x + 0.5 * dt * k2, forcing)
-    k4 = tendency(x + dt * k3, forcing)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rk4(lambda y: tendency(y, forcing), x, dt, np.empty_like(x))
 
 
-def _check_finite(x: np.ndarray):
-    if np.all(np.isfinite(x)):
-        return
-    if x.ndim == 2:
-        bad = int(np.argmax(~np.isfinite(x).all(axis=0)))
-        raise DivergenceError("state became non-finite", member=bad)
-    raise DivergenceError("state became non-finite")
+def rk4(f, x: np.ndarray, dt: float, stage: np.ndarray) -> np.ndarray:
+    """x + dt/6 (k1 + 2 k2 + 2 k3 + k4) for the tendency ``f`` (both models).
+
+    The sum goes left to right into k1, each term as soon as it is known,
+    so the next tendency can reuse the memory of the last; the stage states
+    share the buffer ``stage``. The arithmetic and its order are the plain
+    expression's, so the bits are too.
+    """
+    def stage_state(k: np.ndarray, h: float) -> np.ndarray:  # x + h k
+        return np.add(x, np.multiply(k, h, out=stage), out=stage)
+
+    k1 = f(x)
+    k2 = f(stage_state(k1, 0.5 * dt))
+    stage_state(k2, 0.5 * dt)
+    k1 += np.multiply(k2, 2.0, out=k2)
+    del k2
+    k3 = f(stage)
+    stage_state(k3, dt)
+    k1 += np.multiply(k3, 2.0, out=k3)
+    del k3
+    k1 += f(stage)
+    k1 *= dt / 6.0
+    k1 += x
+    return k1
+
+
+def checked(x: np.ndarray, ok, message: str) -> np.ndarray:
+    """``x``, or DivergenceError naming the first member where ``ok`` fails."""
+    good = ok(x)
+    if good.all():
+        return x
+    member = int(np.argmax(~good.all(axis=0))) if x.ndim == 2 else None
+    raise DivergenceError(message, member=member)
+
+
+def advance(step, x: np.ndarray, t0: float, t1: float, dt: float):
+    """Apply ``step`` from t0 to t1, a whole number of steps of dt."""
+    if t1 < t0:
+        raise ValueError(f"window is reversed: {t0} > {t1}")
+    nsteps = round((t1 - t0) / dt)
+    if abs(nsteps * dt - (t1 - t0)) > 1e-9 * max(1.0, abs(t1 - t0)):
+        raise ValueError(
+            f"window [{t0}, {t1}] is not a whole number of steps of dt={dt}"
+        )
+    x = np.asarray(x, dtype=float)
+    for _ in range(nsteps):
+        x = step(x)
+    return x
 
 
 class Lorenz96:
@@ -66,24 +103,7 @@ class Lorenz96:
 
     def step(self, x: np.ndarray) -> np.ndarray:
         out = rk4_step(x, self.config.dt, self.config.forcing)
-        _check_finite(out)
-        return out
+        return checked(out, np.isfinite, "state became non-finite")
 
     def advance(self, x: np.ndarray, t0: float, t1: float) -> np.ndarray:
-        """Advance from t0 to t1; the window must be a whole number of steps."""
-        nsteps = _window_steps(t0, t1, self.config.dt)
-        x = np.asarray(x, dtype=float)
-        for _ in range(nsteps):
-            x = self.step(x)
-        return x
-
-
-def _window_steps(t0: float, t1: float, dt: float) -> int:
-    if t1 < t0:
-        raise ValueError(f"window is reversed: {t0} > {t1}")
-    nsteps = round((t1 - t0) / dt)
-    if abs(nsteps * dt - (t1 - t0)) > 1e-9 * max(1.0, abs(t1 - t0)):
-        raise ValueError(
-            f"window [{t0}, {t1}] is not a whole number of steps of dt={dt}"
-        )
-    return nsteps
+        return advance(self.step, x, t0, t1, self.config.dt)

@@ -39,8 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from ..errors import DivergenceError
-from .lorenz96 import _window_steps
+from .lorenz96 import advance, checked, rk4
 
 _BLOWUP_LIMIT = 1.0e6
 
@@ -347,40 +346,12 @@ def tendency(q: np.ndarray, cfg: QGConfig) -> np.ndarray:
 def rk4_step(q: np.ndarray, cfg: QGConfig, dt: float | None = None) -> np.ndarray:
     """One RK4 step (dt defaults to the configured step; dt = 0 is the identity).
 
-    q + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right into k1. Each
-    term is added as soon as it is known, so the next tendency can reuse
-    the memory of the last; the stage states share one buffer.
+    The stage states share this thread's scratch buffer for the shape.
     """
     q = np.asarray(q, dtype=float)
-    if dt is None:
-        dt = cfg.dt
     stage = _scratch(cfg.interior_shape + q.shape[1:]).stage
-
-    def stage_state(k: np.ndarray, h: float) -> np.ndarray:  # q + h k
-        return np.add(q, np.multiply(k, h, out=stage), out=stage)
-
-    k1 = tendency(q, cfg)
-    k2 = tendency(stage_state(k1, 0.5 * dt), cfg)
-    stage_state(k2, 0.5 * dt)
-    k1 += np.multiply(k2, 2.0, out=k2)
-    del k2
-    k3 = tendency(stage, cfg)
-    stage_state(k3, dt)
-    k1 += np.multiply(k3, 2.0, out=k3)
-    del k3
-    k1 += tendency(stage, cfg)
-    k1 *= dt / 6.0
-    k1 += q
-    return k1
-
-
-def _check_bounded(q: np.ndarray):
-    if np.abs(q).max() <= _BLOWUP_LIMIT:  # NaN compares False
-        return
-    if q.ndim == 2:
-        bad_col = ~(np.abs(q).max(axis=0) <= _BLOWUP_LIMIT)
-        raise DivergenceError("vorticity blew up", member=int(np.argmax(bad_col)))
-    raise DivergenceError("vorticity blew up")
+    dt = cfg.dt if dt is None else dt
+    return rk4(lambda y: tendency(y, cfg), q, dt, stage)
 
 
 class QGModel:
@@ -390,16 +361,12 @@ class QGModel:
         self.config = config
 
     def step(self, q: np.ndarray) -> np.ndarray:
-        out = rk4_step(q, self.config)
-        _check_bounded(out)
-        return out
+        return checked(rk4_step(q, self.config),  # NaN fails the bound too
+                       lambda y: np.abs(y) <= _BLOWUP_LIMIT,
+                       "vorticity blew up")
 
     def advance(self, q: np.ndarray, t0: float, t1: float) -> np.ndarray:
-        nsteps = _window_steps(t0, t1, self.config.dt)
-        q = np.asarray(q, dtype=float)
-        for _ in range(nsteps):
-            q = self.step(q)
-        return q
+        return advance(self.step, q, t0, t1, self.config.dt)
 
     def stream_function(self, q: np.ndarray) -> np.ndarray:
         return helmholtz_solve(q, self.config)

@@ -103,6 +103,43 @@ class TestLorenzStep:
             model.advance(np.ones(8), 0.0, 0.07)
 
 
+def reference_lorenz_tendency(x, forcing):
+    return ((np.roll(x, -1, axis=0) - np.roll(x, 2, axis=0))
+            * np.roll(x, 1, axis=0) - x + forcing)
+
+
+def reference_lorenz_rk4(x, dt, forcing):
+    k1 = reference_lorenz_tendency(x, forcing)
+    k2 = reference_lorenz_tendency(x + 0.5 * dt * k1, forcing)
+    k3 = reference_lorenz_tendency(x + 0.5 * dt * k2, forcing)
+    k4 = reference_lorenz_tendency(x + dt * k3, forcing)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestLorenzBits:
+    # the step sums in place with a reused stage buffer; the plain np.roll
+    # and RK4 expressions above must give the same bits
+    @pytest.mark.parametrize("dt", [0.0, 0.05])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(40,), (40, 20), (500, 200)],
+                             ids=["40", "40x20", "500x200"])
+    def test_rk4_step(self, shape, order, dt):
+        x = np.asarray(8.0 + 3.0 * make_rng(5).standard_normal(shape),
+                       order=order)
+        kept = x.copy()
+        assert np.array_equal(lorenz96.rk4_step(x, dt, 8.0),
+                              reference_lorenz_rk4(x, dt, 8.0))
+        assert np.array_equal(x, kept)
+
+    def test_advance_is_plain_steps(self):
+        model = Lorenz96(Lorenz96Config(nstate=40, dt=0.05))
+        x = 8.0 + 3.0 * make_rng(6).standard_normal((40, 20))
+        want = x
+        for _ in range(5):
+            want = reference_lorenz_rk4(want, 0.05, 8.0)
+        assert np.array_equal(model.advance(x, 1.0, 1.25), want)
+
+
 class TestQGConfig:
     def test_preset_state_sizes(self):
         assert QG33.nstate == 961

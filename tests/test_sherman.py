@@ -14,6 +14,7 @@ from enkfkit import sherman, verify
 from enkfkit.errors import SingularUpdateError
 from enkfkit.rng import make_rng
 from enkfkit.sherman import _sweep, _sweep_reference, long_op_count, solve_sherman
+from enkfkit.solvers import solve_cholesky, solve_svd
 from enkfkit.verify import solve_sherman_recursive
 
 
@@ -155,12 +156,13 @@ def backward_error(r, v, d, z):
 
 class TestHostileInputs:
     # r over twelve decades, V over six, rank-deficient V, fewer
-    # observations than members and the smallest ensemble. The bound is
-    # 1e-4, except where the system's amplification g = |V|_2^2 / min r
-    # puts the cancellation in R^-1 D - R^-1 V (...) above it: every
-    # Sherman-Morrison-Woodbury form, the literal sweep included, loses
-    # about eps g there (r = 1e-6, V ~ 1e3, Nobs = 3, Nens = 20 reads
-    # 1.1e-4 to 1.3e-3 on the sweeps and 5.0e-3 on the SVD solve)
+    # observations than members and the smallest ensemble, each draw
+    # solved by all three solvers. The bound is 1e-4, except where the
+    # system's amplification g = |V|_2^2 / min r puts the cancellation in
+    # R^-1 D - R^-1 V (...) above it: every Sherman-Morrison-Woodbury form,
+    # the literal sweep included, loses about eps g there (r = 1e-6,
+    # V ~ 1e3, Nobs = 3, Nens = 20 reads 1.1e-4 to 1.3e-3 on the sweeps
+    # and 5.0e-3 on the SVD solve)
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(seed=st.integers(0, 2**32 - 1), nobs=st.integers(1, 60),
            nens=st.integers(2, 24),
@@ -177,10 +179,11 @@ class TestHostileInputs:
                                   n_dup, n_zero):
         r, v, d = hostile_system(seed, nobs, nens, r_exps, v_exp, n_dup,
                                  n_zero)
-        z = solve_sherman(r, v, d).z
         amplification = np.linalg.norm(v, 2) ** 2 / r.min()
         bound = max(1e-4, 10 * np.finfo(float).eps * amplification)
-        assert backward_error(r, v, d, z) <= bound
+        for solve in (solve_sherman, solve_cholesky, solve_svd):
+            z = solve(r, v, d).z
+            assert backward_error(r, v, d, z) <= bound, solve.__name__
 
 
 class TestRecursive:
@@ -257,7 +260,7 @@ class TestBlocked:
         r, v, d = random_system(81, nobs, nens)
         assert_layout_independent(lambda *a: solve_sherman(*a).z, r, v, d)
 
-    def test_pivot_guard_in_later_group(self):
+    def test_pivot_guard_at_later_level(self):
         # levels 1-9 see zero columns; level 10 meets 1 + v'u = 1 - 1 = 0,
         # so dpotrf stops there and the literal sweep's guard reports it
         v = np.zeros((1, 12))
@@ -296,7 +299,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         assert float(out.stdout) < 100
 
 
-class TestGroupedProperties:
+class TestEnsembleSpaceProperties:
     # from one member to 40, and from one observation to 300, including
     # fewer observations than members, the ensemble-space solve matches
     # the level-by-level sweep
@@ -307,7 +310,7 @@ class TestGroupedProperties:
     @example(seed=1, nobs=37, nens=8)
     @example(seed=2, nobs=300, nens=40)
     @example(seed=3, nobs=5, nens=17)
-    def test_grouped_sweep(self, seed, nobs, nens):
+    def test_matches_literal_sweep(self, seed, nobs, nens):
         r, v, d = verify.random_system(make_rng(seed), nobs, nens)
         z = _sweep(r, v, d)
         reference, _ = _sweep_reference(r, v, d)

@@ -194,7 +194,7 @@ class TestDispatch:
         assert np.abs(z1 - z2).max() <= 1e-10 * np.abs(z1).max()
         assert np.abs(z1 - z3).max() <= 1e-9 * np.abs(z1).max()
 
-    def test_pooled_sherman_goes_through_module_global(self, monkeypatch):
+    def test_dispatched_sherman_goes_through_module_global(self, monkeypatch):
         # tracers wrap solvers.solve_sherman; a dispatched solve must reach it
         seen = []
 

@@ -19,16 +19,22 @@ from enkfkit.linalg import cholesky_factor
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _budget_after_import(**variables) -> dict:
-    """blas_threads() as a fresh interpreter sees it after importing enkfkit."""
+def _fresh_env(**variables) -> dict:
+    """This environment without thread variables, with this enkfkit on the
+    path and ``variables`` set, for a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(enkfkit.__file__).parents[1]), env.get("PYTHONPATH", "")])
     env.update(variables)
+    return env
+
+
+def _budget_after_import(**variables) -> dict:
+    """blas_threads() as a fresh interpreter sees it after importing enkfkit."""
     out = subprocess.run(
         [sys.executable, "-c",
          "import json, enkfkit; print(json.dumps(enkfkit.blas_threads()))"],
-        env=env, capture_output=True, text=True, check=True)
+        env=_fresh_env(**variables), capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
 
@@ -229,3 +235,34 @@ def test_manifest_records_budget_and_reloads(tmp_path):
     assert (payload["numpy_version"], payload["scipy_version"]) == (
         np.__version__, scipy.__version__)
     assert load_config(str(tmp_path / "manifest.json")) == cfg
+
+
+def _metrics(path: Path) -> dict:
+    """(cycle, time, solver) -> (rse_forecast, rse_analysis) of a metrics.csv."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return {tuple(row[:3]): tuple(map(float, row[3:])) for row in rows}
+
+
+def test_two_thread_drift_on_qg33_short(tmp_path):
+    # the reproducibility contract holds per thread budget; across 1 and 2
+    # threads only the rounding may move
+    subprocess.run([sys.executable, "-m", "enkfkit.cli", "run", "--config",
+                    "qg33-short", "--out", str(tmp_path / "two")],
+                   env=_fresh_env(OPENBLAS_NUM_THREADS="2"),
+                   capture_output=True, check=True)
+    saved = threads.blas_threads()
+    threads.set_blas_threads(1)
+    try:
+        emit_csv(run_experiment(load_config("qg33-short")), tmp_path / "one")
+    finally:
+        threads.set_blas_threads(saved)
+    manifest = json.loads((tmp_path / "two" / "manifest.json").read_text())
+    assert manifest["blas_threads"]
+    assert set(manifest["blas_threads"].values()) == {2}
+    one = _metrics(tmp_path / "one" / "metrics.csv")
+    two = _metrics(tmp_path / "two" / "metrics.csv")
+    assert one.keys() == two.keys() and len(one) == 36
+    drift = max(abs(b - a) / abs(a) for key in one
+                for a, b in zip(one[key], two[key]))
+    print(f"      largest 1- vs 2-thread drift: {drift:.2e} relative")
+    assert drift <= 1e-8
