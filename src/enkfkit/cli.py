@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .errors import ConfigError
 from .experiment import emit_csv, load_config, run_experiment
@@ -64,6 +65,10 @@ def _parse_sweep(text: str):
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config, {"output_dir": args.out})
+    try:  # an unwritable output fails here, not after the whole run
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     manifest = run_experiment(cfg)
     written = emit_csv(manifest, cfg.output_dir)
     for run in manifest.runs:

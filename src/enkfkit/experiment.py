@@ -14,10 +14,10 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -85,8 +85,8 @@ class ExperimentConfig:
 
     # model parameters
     nstate: int = 40            # lorenz96 only
-    forcing: float = 8.0        # lorenz96 only
-    dt: float | None = None     # defaults: 0.05 lorenz, 1.0 qg
+    forcing: float = Lorenz96Config.forcing  # lorenz96 only
+    dt: float | None = None     # None: the model's own default step
     spinup_steps: int | None = None  # defaults: 500 lorenz, 120 qg
     qg_grid: dict | None = None  # custom QG grids only
     model_noise_std: float = 0.0  # additive forecast noise (model error), off
@@ -110,6 +110,16 @@ class ExperimentConfig:
     seed_observations: int = 3
 
     def __post_init__(self):
+        # a NaN passes every comparison below, so finiteness comes first
+        numbers = [*vars(self).items(), *(self.qg_grid or {}).items()]
+        infinite = [f"{key} = {value!r}" for key, value in numbers
+                    if isinstance(value, float) and not math.isfinite(value)]
+        if infinite:
+            raise ConfigError(f"values must be finite: {infinite}")
+        for key in ("steps", "spinup_steps", "model_noise_std", "seed_truth",
+                    "seed_ensemble", "seed_observations"):
+            if (getattr(self, key) or 0) < 0:
+                raise ConfigError(f"{key} must be non-negative")
         if self.model not in VALID_MODELS:
             raise ConfigError(
                 f"model must be one of {VALID_MODELS}, got {self.model!r}"
@@ -121,8 +131,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown solver {s!r}; valid: {VALID_SOLVERS}"
                 )
-        if self.steps < 0:
-            raise ConfigError("steps must be non-negative")
         if self.analysis_interval < 1:
             raise ConfigError("analysis_interval must be at least 1")
         if self.steps % self.analysis_interval != 0:
@@ -153,33 +161,22 @@ class ExperimentConfig:
             )
         if self.localization_scale is not None and self.localization_scale <= 0:
             raise ConfigError("localization_scale must be positive")
-        if self.model_noise_std < 0:
-            raise ConfigError("model_noise_std must be non-negative")
-        if self.model == "custom" and not self.qg_grid:
-            raise ConfigError("model 'custom' needs a [model] grid definition")
-
-    # -- resolved model objects -------------------------------------------
-
-    def model_dt(self) -> float:
-        if self.dt is not None:
-            return self.dt
-        return 0.05 if self.model == "lorenz96" else 1.0
-
-    def model_spinup(self) -> int:
-        if self.spinup_steps is not None:
-            return self.spinup_steps
-        return 500 if self.model == "lorenz96" else 120
+        if (self.model == "custom") != bool(self.qg_grid):
+            raise ConfigError("model 'custom' needs a [model] grid definition, "
+                              f"and only it takes one (model is {self.model!r})")
+        self.build_model()  # the model's own parameter checks, before any run
 
     def build_model(self):
         """The model; a bad model parameter raises ConfigError."""
+        step = {} if self.dt is None else {"dt": self.dt}
         try:
             if self.model == "lorenz96":
                 return Lorenz96(Lorenz96Config(
-                    nstate=self.nstate, forcing=self.forcing, dt=self.model_dt()))
+                    nstate=self.nstate, forcing=self.forcing, **step))
             if self.model in _QG_PRESETS:
-                cfg = replace(_QG_PRESETS[self.model], dt=self.model_dt())
+                cfg = replace(_QG_PRESETS[self.model], **step)
             else:
-                cfg = QGConfig(dt=self.model_dt(), **self.qg_grid)
+                cfg = QGConfig(**step, **self.qg_grid)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid {self.model} model: {exc}") from exc
         return QGModel(cfg)
@@ -191,21 +188,48 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # INI parsing
 
+# [section] key -> (ExperimentConfig field, cast). A key the file leaves
+# out is not passed, so the field's default applies.
+_INI_KEYS = {
+    "experiment": {
+        "name": ("name", str), "model": ("model", str),
+        "solvers": ("solvers", lambda raw: tuple(
+            s.strip() for s in raw.split(",") if s.strip())),
+        "steps": ("steps", int),
+        "analysis_interval": ("analysis_interval", int),
+        "output_dir": ("output_dir", str)},
+    "model": {
+        "nstate": ("nstate", int), "forcing": ("forcing", float),
+        "dt": ("dt", float), "spinup_steps": ("spinup_steps", int),
+        "noise_std": ("model_noise_std", float)},
+    "ensemble": {
+        "nens": ("nens", int), "inflation": ("inflation", float),
+        "localization": ("localization", bool),
+        "localization_scale": ("localization_scale", float),
+        "init_spread_pct": ("init_spread_pct", float),
+        "std_ens": ("std_ens", float)},
+    "observations": {
+        "pobs": ("pobs", float), "variance": ("obs_variance", float),
+        "strategy": ("obs_strategy", str)},
+    "seeds": {
+        "truth": ("seed_truth", int), "ensemble": ("seed_ensemble", int),
+        "observations": ("seed_observations", int)},
+}
 
-def _preset_text(name: str) -> str | None:
-    ref = resources.files("enkfkit").joinpath(f"presets/{name}.ini")
-    if not ref.is_file():
-        return None
-    return ref.read_text()
+# the custom QG grid: [model] keys read only when the file sets n
+_GRID_KEYS = {"n": int, "m": int, "lx": float, "ly": float, "rkb": float,
+              "rkh": float, "rkh2": float, "beta": float, "rossby": float,
+              "froude": float}
 
 
 def load_config(path_or_name: str, overrides: dict | None = None) -> ExperimentConfig:
     """Load a config file, a named preset, or an emitted manifest.json.
 
     A manifest is self-contained: pointing ``--config`` at one reruns the
-    experiment it records. ``overrides`` (CLI flags) win over the file;
-    environment variables ENKFKIT_SEED_TRUTH / _ENSEMBLE / _OBS override
-    the seeds in the file but not explicit overrides.
+    experiment it records, so the seed variables below do not apply to it.
+    ``overrides`` (CLI flags) win over the file; environment variables
+    ENKFKIT_SEED_TRUTH / _ENSEMBLE / _OBS override the seeds in an INI
+    file or preset but not explicit overrides.
     """
     path = Path(path_or_name)
     if path.exists():
@@ -213,115 +237,74 @@ def load_config(path_or_name: str, overrides: dict | None = None) -> ExperimentC
             text = path.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
-        if path.suffix == ".json":
-            return _config_from_manifest(text, path, overrides or {})
     else:
-        text = _preset_text(path_or_name)
-        if text is None:
+        preset = resources.files("enkfkit").joinpath(f"presets/{path_or_name}.ini")
+        if not preset.is_file():
             raise ConfigError(
                 f"config {path_or_name!r} is neither a file nor a known preset"
             )
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        text = preset.read_text()
+    if path.suffix == ".json":  # presets are all .ini, so this is a file
+        settings = _manifest_settings(text, path)
+    else:
+        settings = _ini_settings(text, path_or_name)
+    settings.update({k: v for k, v in (overrides or {}).items() if v is not None})
     try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path_or_name}: {exc}") from exc
-    return _config_from_parser(parser, overrides or {})
+        return ExperimentConfig(**settings)
+    except TypeError as exc:
+        raise ConfigError(f"{path_or_name}: {exc}") from exc
 
 
-def _config_from_manifest(text: str, path: Path,
-                          overrides: dict) -> ExperimentConfig:
+def _manifest_settings(text: str, path: Path) -> dict:
     try:
         payload = json.loads(text)
         echo = dict(payload["config"])
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path} is not a run manifest: {exc}") from exc
     echo["solvers"] = tuple(echo.get("solvers", ()))
-    echo.update({k: v for k, v in overrides.items() if v is not None})
+    return echo
+
+
+def _ini_settings(text: str, source: str) -> dict:
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        return ExperimentConfig(**echo)
-    except TypeError as exc:
-        raise ConfigError(f"manifest config mismatch: {exc}") from exc
-
-
-def _get(parser, read, section, key, cast, default):
-    read.add((section, key))
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        if cast is bool:
-            return parser.getboolean(section, key)
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-
-def _config_from_parser(parser: configparser.ConfigParser,
-                        overrides: dict) -> ExperimentConfig:
-    known = {"experiment", "model", "ensemble", "observations", "seeds"}
-    unknown = set(parser.sections()) - known
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse {source}: {exc}") from exc
+    unknown = set(parser.sections()) - set(_INI_KEYS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    read = set()  # every (section, key) looked up; the rest are unknown
-    get = partial(_get, parser, read)
 
-    solvers_raw = get("experiment", "solvers", str, "sherman, cholesky, svd")
-    solvers = tuple(s.strip() for s in solvers_raw.split(",") if s.strip())
-
-    qg_grid = None
-    if parser.has_option("model", "n"):
-        grid_keys = ("n", "m", "lx", "ly", "rkb", "rkh", "rkh2",
-                     "beta", "rossby", "froude")
-        qg_grid = {}
-        for key in grid_keys:
-            if parser.has_option("model", key):
-                cast = int if key in ("n", "m") else float
-                qg_grid[key] = get("model", key, cast, None)
-
-    kwargs = dict(
-        name=get("experiment", "name", str, "experiment"),
-        model=get("experiment", "model", str, "lorenz96"),
-        solvers=solvers,
-        steps=get("experiment", "steps", int, 100),
-        analysis_interval=get("experiment", "analysis_interval", int, 10),
-        output_dir=get("experiment", "output_dir", str, "runs"),
-        nstate=get("model", "nstate", int, 40),
-        forcing=get("model", "forcing", float, 8.0),
-        dt=get("model", "dt", float, None),
-        spinup_steps=get("model", "spinup_steps", int, None),
-        qg_grid=qg_grid,
-        model_noise_std=get("model", "noise_std", float, 0.0),
-        nens=get("ensemble", "nens", int, 20),
-        inflation=get("ensemble", "inflation", float, 1.0),
-        localization=get("ensemble", "localization", bool, False),
-        localization_scale=get("ensemble", "localization_scale", float, None),
-        init_spread_pct=get("ensemble", "init_spread_pct", float, 0.05),
-        std_ens=get("ensemble", "std_ens", float, 5.0),
-        pobs=get("observations", "pobs", float, 1.0),
-        obs_variance=get("observations", "variance", float, 1e-4),
-        obs_strategy=get("observations", "strategy", str, "uniform-stride"),
-        seed_truth=get("seeds", "truth", int, 1),
-        seed_ensemble=get("seeds", "ensemble", int, 2),
-        seed_observations=get("seeds", "observations", int, 3),
-    )
-
-    unread = sorted(f"[{sec}] {key}" for sec in parser.sections()
-                    for key in parser.options(sec) if (sec, key) not in read)
-    if unread:
-        raise ConfigError(f"unknown config keys: {unread}")
+    settings, grid, unknown_keys = {}, {}, []
+    has_grid = parser.has_option("model", "n")
+    for section in parser.sections():
+        for key in parser.options(section):
+            if key in _INI_KEYS[section]:
+                field_name, cast = _INI_KEYS[section][key]
+                target = settings
+            elif section == "model" and has_grid and key in _GRID_KEYS:
+                field_name, cast, target = key, _GRID_KEYS[key], grid
+            else:
+                unknown_keys.append(f"[{section}] {key}")
+                continue
+            raw = parser.get(section, key)
+            try:
+                target[field_name] = (parser.getboolean(section, key)
+                                      if cast is bool else cast(raw))
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    if unknown_keys:
+        raise ConfigError(f"unknown config keys: {sorted(unknown_keys)}")
+    if grid:
+        settings["qg_grid"] = grid
 
     for key, env in _SEED_ENV.items():
         if env in os.environ:
             try:
-                kwargs[f"seed_{key}"] = int(os.environ[env])
+                settings[f"seed_{key}"] = int(os.environ[env])
             except ValueError as exc:
                 raise ConfigError(f"{env} must be an integer") from exc
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return settings
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +359,9 @@ def _sha256(*arrays: np.ndarray) -> str:
 def _truth_start(cfg: ExperimentConfig, model) -> np.ndarray:
     """Spin the reference state onto the attractor, deterministically per seed."""
     rng = make_rng(cfg.seed_truth)
-    spinup = cfg.model_spinup()
+    spinup = cfg.spinup_steps
+    if spinup is None:
+        spinup = 500 if cfg.model == "lorenz96" else 120
     if cfg.model == "lorenz96":
         x = cfg.forcing + rng.standard_normal(cfg.nstate)
     else:
@@ -395,7 +380,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     Numerical failures abort with the solver and cycle in the message.
     """
     model = cfg.build_model()
-    dt = cfg.model_dt()
+    dt = model.config.dt
     cycles = cfg.steps // cfg.analysis_interval
     window = cfg.analysis_interval * dt
     times = np.arange(cycles + 1) * window

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -115,6 +116,65 @@ class TestConfig:
         assert str(info.value) == (
             "unknown config keys: "
             "['[ensemble] nen', '[experiment] stesp', '[model] m']")
+
+    def test_each_ini_key_sets_its_field(self, tmp_path, monkeypatch):
+        # every key, set alone, moves exactly its own field off the default
+        for env in experiment._SEED_ENV.values():
+            monkeypatch.delenv(env, raising=False)
+        keys = {
+            ("experiment", "name", "x"): ("name", "x"),
+            ("experiment", "model", "qg33"): ("model", "qg33"),
+            ("experiment", "solvers", "svd, free"): ("solvers", ("svd", "free")),
+            ("experiment", "steps", "50"): ("steps", 50),
+            ("experiment", "analysis_interval", "5"): ("analysis_interval", 5),
+            ("experiment", "output_dir", "elsewhere"): ("output_dir", "elsewhere"),
+            ("model", "nstate", "12"): ("nstate", 12),
+            ("model", "forcing", "10.0"): ("forcing", 10.0),
+            ("model", "dt", "0.01"): ("dt", 0.01),
+            ("model", "spinup_steps", "7"): ("spinup_steps", 7),
+            ("model", "noise_std", "0.1"): ("model_noise_std", 0.1),
+            ("ensemble", "nens", "4"): ("nens", 4),
+            ("ensemble", "inflation", "1.1"): ("inflation", 1.1),
+            ("ensemble", "localization", "on"): ("localization", True),
+            ("ensemble", "localization_scale", "3.0"): ("localization_scale", 3.0),
+            ("ensemble", "init_spread_pct", "0.1"): ("init_spread_pct", 0.1),
+            ("ensemble", "std_ens", "2.0"): ("std_ens", 2.0),
+            ("observations", "pobs", "0.5"): ("pobs", 0.5),
+            ("observations", "variance", "0.5"): ("obs_variance", 0.5),
+            ("observations", "strategy", "random"): ("obs_strategy", "random"),
+            ("seeds", "truth", "11"): ("seed_truth", 11),
+            ("seeds", "ensemble", "12"): ("seed_ensemble", 12),
+            ("seeds", "observations", "13"): ("seed_observations", 13),
+        }
+        default = ExperimentConfig()
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert {name for name, _ in keys.values()} == \
+            set(names) - {"workers", "qg_grid"}
+        for (section, key, raw), (name, value) in keys.items():
+            path = tmp_path / "c.ini"
+            path.write_text(f"[{section}]\n{key} = {raw}\n")
+            cfg = load_config(str(path))
+            changed = [n for n in names if getattr(cfg, n) != getattr(default, n)]
+            assert changed == [name], (section, key)
+            assert getattr(cfg, name) == value, (section, key)
+
+    def test_readme_example_loads(self, tmp_path):
+        # the documented example is a file the reader accepts
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1]
+        path = tmp_path / "demo.ini"
+        path.write_text(section.split("```ini\n", 1)[1].split("```", 1)[0])
+        cfg = load_config(str(path))
+        assert cfg.name == "demo" and cfg.localization_scale == 8.0
+
+    def test_manifest_ignores_seed_env(self, tmp_path, monkeypatch):
+        # a rerun from manifest.json must reproduce the run it records
+        cfg = tiny_config()
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"config": cfg.echo()}))
+        for env in experiment._SEED_ENV.values():
+            monkeypatch.setenv(env, "99")
+        assert load_config(str(path)) == cfg
 
     def test_every_field_echoed(self):
         cfg = tiny_config()
@@ -359,12 +419,35 @@ class TestCli:
             ("lorenz96", "[model]\ndt = -0.05"),
             ("lorenz96", "[ensemble]\ninit_spread_pct = 0"),
             ("qg33", "[ensemble]\nstd_ens = 0"),
+            ("lorenz96", "[model]\ndt = nan"),
+            ("lorenz96", "[model]\nforcing = nan"),
+            ("lorenz96", "[ensemble]\nlocalization = on\nlocalization_scale = nan"),
+            ("lorenz96", "[observations]\nvariance = inf"),
+            ("lorenz96", "[ensemble]\ninflation = nan"),
+            ("lorenz96", "[model]\nnoise_std = nan"),
+            ("lorenz96", "[model]\nspinup_steps = -5"),
+            ("lorenz96", "[seeds]\ntruth = -1"),
+            ("qg33", "[model]\nn = 9\nm = 9"),
+            ("custom", "[model]\nn = 9\nm = 9\nlx = nan\nly = 1\nrkb = 0\nrkh = 0\n"
+                       "rkh2 = 0\nbeta = 0\nrossby = 0\nfroude = 100"),
         ]
         for model, bad in cases:
             cfg = tmp_path / "bad.ini"
             cfg.write_text(f"[experiment]\nname = bad\nmodel = {model}\n{bad}\n")
             assert main(["run", "--config", str(cfg)]) == 2, bad
             assert "configuration error" in capsys.readouterr().err, bad
+
+        good = tmp_path / "good.ini"
+        good.write_text("[experiment]\nname = good\n")
+        for env in ("ENKFKIT_SEED_TRUTH", "ENKFKIT_SEED_OBS"):
+            with monkeypatch.context() as patched:
+                patched.setenv(env, "-1")
+                assert main(["run", "--config", str(good)]) == 2, env
+            assert "configuration error" in capsys.readouterr().err, env
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", "--config", str(good), "--out", str(taken)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         calls = []
