@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .experiment import emit_csv, load_config, run_experiment
-from .scaling import emit_scaling_csv, run_scaling_study
+from .scaling import check_sweep, emit_scaling_csv, run_scaling_study
 from . import verify
 
 EXIT_OK = 0
@@ -63,12 +63,16 @@ def _parse_sweep(text: str):
     return axis, parsed
 
 
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config, {"output_dir": args.out})
+def _make_outdir(path: str) -> None:
     try:  # an unwritable output fails here, not after the whole run
-        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+        Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
+
+
+def _cmd_run(args) -> int:
+    cfg = load_config(args.config, {"output_dir": args.out})
+    _make_outdir(cfg.output_dir)
     manifest = run_experiment(cfg)
     written = emit_csv(manifest, cfg.output_dir)
     for run in manifest.runs:
@@ -85,9 +89,11 @@ def _cmd_scale(args) -> int:
     fixed = args.fixed
     if fixed is None:
         fixed = cfg.nens if axis == "nobs" else 16
+    outdir = args.out if args.out is not None else cfg.output_dir
+    check_sweep(solvers, axis, values, fixed)  # before the directory exists
+    _make_outdir(outdir)
     study = run_scaling_study(solvers, axis, values, fixed,
                               repeats=args.repeats)
-    outdir = args.out if args.out is not None else cfg.output_dir
     path = emit_scaling_csv(study, outdir)
     for solver, slope in study.slopes.items():
         print(f"{solver:9s} log-log slope vs {axis}: {slope:.3f}")

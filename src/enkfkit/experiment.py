@@ -17,7 +17,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -255,13 +255,36 @@ def load_config(path_or_name: str, overrides: dict | None = None) -> ExperimentC
         raise ConfigError(f"{path_or_name}: {exc}") from exc
 
 
+# the JSON types that hold a value of each INI cast, and the fields that
+# may be null
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+_FIELD_CASTS = {name: cast for keys in _INI_KEYS.values()
+                for name, cast in keys.values()}
+_NULLABLE = {f.name for f in fields(ExperimentConfig) if f.default is None}
+
+
 def _manifest_settings(text: str, path: Path) -> dict:
     try:
         payload = json.loads(text)
         echo = dict(payload["config"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        echo["solvers"] = tuple(echo.get("solvers", ()))
+        if echo.get("qg_grid") is not None:
+            echo["qg_grid"] = dict(echo["qg_grid"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path} is not a run manifest: {exc}") from exc
-    echo["solvers"] = tuple(echo.get("solvers", ()))
+    # JSON values keep their own types; each must be one its field's INI
+    # cast reads, and is cast the same way
+    for values, casts in ((echo, _FIELD_CASTS),
+                          (echo.get("qg_grid") or {}, _GRID_KEYS)):
+        for key, value in values.items():
+            cast = casts.get(key)
+            if cast not in _JSON_TYPES or value is None and key in _NULLABLE:
+                continue
+            if (not isinstance(value, _JSON_TYPES[cast])
+                    or isinstance(value, bool) != (cast is bool)):
+                raise ConfigError(
+                    f"{path}: {key} = {value!r} is not {cast.__name__}")
+            values[key] = cast(value)
     return echo
 
 

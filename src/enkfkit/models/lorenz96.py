@@ -29,14 +29,22 @@ class Lorenz96Config:
 
 
 def tendency(x: np.ndarray, forcing: float) -> np.ndarray:
-    """Right-hand side of the ring ODE, cyclic in the first axis."""
+    """Right-hand side of the ring ODE, cyclic in the first axis.
+
+    x[i+1], x[i-2] and x[i-1] are row slices of one wrap-padded copy
+    (x[n-2], x[n-1], x[0], ..., x[n-1], x[0]); the expression is evaluated
+    in place in its written order.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape[0] < 4:
+    n = x.shape[0]
+    if n < 4:
         raise ValueError("state must have at least 4 components")
-    xp1 = np.roll(x, -1, axis=0)
-    xm2 = np.roll(x, 2, axis=0)
-    xm1 = np.roll(x, 1, axis=0)
-    return (xp1 - xm2) * xm1 - x + forcing
+    wrapped = np.concatenate((x[-2:], x, x[:1]))
+    dx = np.subtract(wrapped[3:], wrapped[:n])  # x[i+1] - x[i-2]
+    dx *= wrapped[1:n + 1]
+    dx -= x
+    dx += forcing
+    return dx
 
 
 def rk4_step(x: np.ndarray, dt: float, forcing: float) -> np.ndarray:

@@ -23,6 +23,17 @@ States are handled flat: shape (nstate,) or (nstate, nmem) with C-order
 flattening of the (N-2, M-2) interior grid, x-major. Grid spacing is
 hx = Lx/(N-1), hy = Ly/(M-1) (grid points span the closed domain).
 
+The stencils work on the padded (N, M[, k]) grid, interior plus zero ring,
+held as one flat C-ordered buffer of N M k values (k = 1 for one state).
+A step in x is an offset of X = M k in it and a step in y one of Y = k,
+so each stencil term is one contiguous pass over the band [X+Y, NMk-X-Y)
+from the first interior point to the last, its neighbours read from the
+band shifted by +-X and +-Y. Every interior point sees the operations of
+the plain array expressions in the same order. The band also holds the
+ring columns y = 0 and y = M-1 of the interior rows, where the passes
+write junk; before a Laplacian reads zeta or lap zeta, their ring columns
+are zeroed again.
+
 Stability: all QG presets have tiny friction coefficients and the beta
 term is damped by the elliptic inversion (growth rates below
 beta / (2 sqrt(F)) ~ 0.0125 per time unit), so the default dt = 1.0 sits
@@ -132,23 +143,55 @@ def _pad(grid: np.ndarray) -> np.ndarray:
     return padded
 
 
+class _Band:
+    """The flat layout of one padded grid shape (nx+2, ny+2[, k]).
+
+    ``at(a, dx, dy)`` is the band of the flat buffer ``a`` shifted by dx
+    steps in x (X = (ny+2)k values each) and dy steps in y (Y = k each).
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        k = shape[2] if len(shape) > 2 else 1
+        self.shape = shape
+        self.x, self.y = shape[1] * k, k
+        self.size = shape[0] * self.x
+        self.lo, self.hi = self.x + self.y, self.size - self.x - self.y
+
+    def __call__(self, a: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
+        o = dx * self.x + dy * self.y
+        return a[self.lo + o:self.hi + o]
+
+    def interior(self, a: np.ndarray) -> np.ndarray:
+        return a.reshape(self.shape)[1:-1, 1:-1]
+
+    def clear_ring(self, a: np.ndarray) -> None:
+        """Zero the ring columns y = 0 and y = ny+1 that the band holds."""
+        a.reshape(self.shape)[1:-1, ::self.shape[1] - 1] = 0.0
+
+
 def _laplacian(padded: np.ndarray, hx: float, hy: float,
                out: np.ndarray | None = None,
                work: np.ndarray | None = None) -> np.ndarray:
-    """5-point Laplacian of a padded field, evaluated on the interior.
+    """5-point Laplacian of a padded grid (nx+2, ny+2[, k]), on the interior.
 
-    ``out`` and ``work`` are optional interior-shaped buffers (``out`` may
-    be a view); without them the result and one temporary are allocated.
+    One contiguous pass per term over the band of the flat layout.
+    ``out`` and ``work`` are optional flat buffers of the padded size;
+    ``out`` takes the Laplacian on its band, junk ring columns included,
+    and its interior is returned.
     """
-    c2 = np.multiply(padded[1:-1, 1:-1], 2.0, out=out)
-    lap_y = np.subtract(padded[1:-1, 2:], c2, out=work)
-    lap_y += padded[1:-1, :-2]
+    at = _Band(padded.shape)
+    p = padded.reshape(-1)
+    out = np.empty(at.size) if out is None else out
+    c2 = np.multiply(at(p), 2.0, out=at(out))
+    lap_y = np.subtract(at(p, 0, 1), c2,
+                        out=None if work is None else at(work))
+    lap_y += at(p, 0, -1)
     lap_y /= hy * hy
-    lap = np.subtract(padded[2:, 1:-1], c2, out=c2)
-    lap += padded[:-2, 1:-1]
+    lap = np.subtract(at(p, 1), c2, out=c2)
+    lap += at(p, -1)
     lap /= hx * hx
     lap += lap_y
-    return lap
+    return at.interior(out)
 
 
 @lru_cache(maxsize=8)
@@ -200,67 +243,68 @@ class _Scratch:
     """Work arrays for one interior grid shape (nx, ny[, k]).
 
     Held per thread by :func:`_scratch` and reused by every call, so a
-    tendency allocates only what it returns. The padded fields are zeroed
-    once and only their interiors are written, so the zero ring stays.
+    tendency allocates only what it returns. Each array is one flat buffer
+    in the padded layout of the module docstring, zeroed once; ``at`` gives
+    its band at each shift. The padded q and psi (``fp``, ``gp``) are
+    written only in their interiors, so their ring stays zero. The others
+    are written on the band, junk in its ring columns y = 0 and y = ny+1
+    included; :func:`tendency` zeroes those of zeta and lap zeta (``zp``,
+    ``lp``) before a Laplacian reads them.
     """
 
     def __init__(self, shape: tuple[int, ...]):
-        nx, ny, batch = shape[0], shape[1], shape[2:]
-
-        def grid(ex: int, ey: int, fill=np.empty) -> np.ndarray:
-            return fill((nx + ex, ny + ey) + batch)
-
-        # Padded Jacobian operands f and g, and zeta and lap zeta.
-        self.fp, self.gp, self.zp, self.lp = (grid(2, 2, np.zeros)
-                                              for _ in range(4))
-        self.f, self.g = self.fp[1:-1, 1:-1], self.gp[1:-1, 1:-1]
-        # gdx[i] = g[i+1] - g[i-1] on every column of the pad, gdy the same
-        # along y on every row; j2 reads f gdy and f gdx at two shifts each.
-        self.gdx, self.f_gdx = grid(0, 2), grid(0, 2)
-        self.gdy, self.f_gdy = grid(2, 0), grid(2, 0)
-        # j3's diagonal differences: anti[a, b] = g[a, b+1] - g[a+1, b]
-        # and diag[a, b] = g[a+1, b+1] - g[a, b].
-        self.anti, self.diag = grid(1, 1), grid(1, 1)
-        self.work, self.work2, self.psi_x, self.bilap = (grid(0, 0)
-                                                         for _ in range(4))
-        self.stage = np.empty((nx * ny,) + batch)  # the flat RK4 stage state
+        nx, ny = shape[:2]
+        self.at = at = _Band((nx + 2, ny + 2) + shape[2:])
+        # fp and gp are the Jacobian operands f and g; gdx = g[i+1] - g[i-1]
+        # on every interior row and gdy = g[j+1] - g[j-1] on every row, as
+        # j2 reads f gdx and f gdy at two shifts each; jac holds the
+        # Jacobian, then the tendency's sum.
+        (self.fp, self.gp, self.zp, self.lp, self.gdx, self.gdy, self.f_gdx,
+         self.f_gdy, self.t, self.u,
+         self.jac) = (np.zeros(at.size) for _ in range(11))
+        # j3's diagonal differences anti = g[j+1] - g[i+1] and
+        # diag = g[i+1, j+1] - g, in the buffers j2 is done with
+        self.anti, self.diag = self.f_gdx, self.f_gdy
+        self.f, self.g = at.interior(self.fp), at.interior(self.gp)
+        self.stage = np.empty((nx * ny,) + shape[2:])  # the RK4 stage state
 
     def load(self, f: np.ndarray, g: np.ndarray) -> None:
         """Pad ``f`` and ``g`` and take the differences of ``g``."""
         self.f[...] = f
         self.g[...] = g
-        gp = self.gp
-        np.subtract(gp[2:], gp[:-2], out=self.gdx)
-        np.subtract(gp[:, 2:], gp[:, :-2], out=self.gdy)
+        x, y, n, gp = self.at.x, self.at.y, self.at.size, self.gp
+        np.subtract(gp[2 * x:], gp[:n - 2 * x], out=self.gdx[x:n - x])
+        np.subtract(gp[2 * y:], gp[:n - 2 * y], out=self.gdy[y:n - y])
 
     def jacobian(self, hx: float, hy: float) -> np.ndarray:
-        """Arakawa Jacobian of the loaded fields, into a new array."""
-        fp, gp, gdx, gdy = self.fp, self.gp, self.gdx, self.gdy
-        t, u = self.work, self.work2
-        jac = np.empty(t.shape)
+        """Arakawa Jacobian of the loaded fields into ``jac``; its interior."""
+        at, fp, gp = self.at, self.fp, self.gp
+        x, y, n = at.x, at.y, at.size
+        t, u, jac = at(self.t), at(self.u), at(self.jac)
         # j1 = f_x g_y - f_y g_x
-        np.subtract(fp[2:, 1:-1], fp[:-2, 1:-1], out=t)
-        np.multiply(t, gdy[1:-1], out=jac)
-        np.subtract(fp[1:-1, 2:], fp[1:-1, :-2], out=u)
-        u *= gdx[:, 1:-1]
+        np.subtract(at(fp, 1), at(fp, -1), out=t)
+        np.multiply(t, at(self.gdy), out=jac)
+        np.subtract(at(fp, 0, 1), at(fp, 0, -1), out=u)
+        u *= at(self.gdx)
         jac -= u
         # j2 = (f g_y)[i+1] - (f g_y)[i-1] - (f g_x)[j+1] + (f g_x)[j-1]
-        f_gdy = np.multiply(fp[:, 1:-1], gdy, out=self.f_gdy)
-        f_gdx = np.multiply(fp[1:-1], gdx, out=self.f_gdx)
-        np.subtract(f_gdy[2:], f_gdy[:-2], out=t)
-        t -= f_gdx[:, 2:]
-        t += f_gdx[:, :-2]
+        np.multiply(fp[y:n - y], self.gdy[y:n - y], out=self.f_gdy[y:n - y])
+        np.multiply(fp[x:n - x], self.gdx[x:n - x], out=self.f_gdx[x:n - x])
+        np.subtract(at(self.f_gdy, 1), at(self.f_gdy, -1), out=t)
+        t -= at(self.f_gdx, 0, 1)
+        t += at(self.f_gdx, 0, -1)
         jac += t
         # j3, the corner terms
-        anti = np.subtract(gp[:-1, 1:], gp[1:, :-1], out=self.anti)
-        diag = np.subtract(gp[1:, 1:], gp[:-1, :-1], out=self.diag)
-        np.multiply(fp[2:, 2:], anti[1:, 1:], out=t)
-        t -= np.multiply(fp[:-2, :-2], anti[:-1, :-1], out=u)
-        t -= np.multiply(fp[:-2, 2:], diag[:-1, 1:], out=u)
-        t += np.multiply(fp[2:, :-2], diag[1:, :-1], out=u)
+        m = n - x - y
+        np.subtract(gp[y:y + m], gp[x:x + m], out=self.anti[:m])
+        np.subtract(gp[x + y:], gp[:m], out=self.diag[:m])
+        np.multiply(at(fp, 1, 1), at(self.anti), out=t)
+        t -= np.multiply(at(fp, -1, -1), at(self.anti, -1, -1), out=u)
+        t -= np.multiply(at(fp, -1, 1), at(self.diag, -1), out=u)
+        t += np.multiply(at(fp, 1, -1), at(self.diag, 0, -1), out=u)
         jac += t
         jac /= 12.0 * hx * hy
-        return jac
+        return at.interior(self.jac)
 
 
 _SCRATCH_SHAPES = 4  # grid shapes whose work arrays a thread keeps
@@ -290,16 +334,19 @@ def arakawa_jacobian(f: np.ndarray, g: np.ndarray,
     while the f- and g-weighted sums vanish already on the interior.
 
     Fields that :func:`tendency` has already loaded into this thread's
-    work arrays are used in place.
+    work arrays are used in place, and the result is then the interior of
+    the work array ``jac``; any other call returns a new array.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     if f.shape != g.shape:
         raise ValueError(f"field shapes differ: {f.shape} and {g.shape}")
     scratch = _scratch(f.shape)
-    if f is not scratch.f or g is not scratch.g:
+    loaded = f is scratch.f and g is scratch.g
+    if not loaded:
         scratch.load(f, g)
-    return scratch.jacobian(hx, hy)
+    jac = scratch.jacobian(hx, hy)
+    return jac if loaded else jac.copy()
 
 
 @lru_cache(maxsize=8)
@@ -314,33 +361,37 @@ def tendency(q: np.ndarray, cfg: QGConfig) -> np.ndarray:
     """Right-hand side dq/dt for flat states (nstate,) or (nstate, k).
 
     The terms of the module docstring are summed left to right, in place
-    into the array the Jacobian returns.
+    on the band of the Jacobian's work array; adding the forcing gathers
+    the interior into the new array returned.
     """
     q = np.asarray(q, dtype=float)
     psi = helmholtz_solve(q, cfg)
     qg = _to_grid(q, cfg)
-    pg = _to_grid(psi, cfg)
     s = _scratch(qg.shape)
-    s.load(qg, pg)  # the Jacobian below reads the loaded fields in place
-    psi_x = np.divide(s.gdx[:, 1:-1], 2.0 * cfg.hx, out=s.psi_x)
-    zeta = np.multiply(s.g, cfg.froude, out=s.zp[1:-1, 1:-1])
-    np.add(s.f, zeta, out=zeta)
-    dq = arakawa_jacobian(s.f, s.g, cfg.hx, cfg.hy)
-    lap_zeta = _laplacian(s.zp, cfg.hx, cfg.hy, s.lp[1:-1, 1:-1], s.work)
-    bilap_zeta = _laplacian(s.lp, cfg.hx, cfg.hy, s.bilap, s.work)
+    s.load(qg, _to_grid(psi, cfg))  # the Jacobian reads them in place
+    arakawa_jacobian(s.f, s.g, cfg.hx, cfg.hy)
+    at = s.at
+    zeta = np.multiply(at(s.gp), cfg.froude, out=at(s.zp))
+    np.add(at(s.fp), zeta, out=zeta)
+    at.clear_ring(s.zp)
+    _laplacian(s.zp.reshape(at.shape), cfg.hx, cfg.hy, s.lp, s.t)
+    at.clear_ring(s.lp)
+    _laplacian(s.lp.reshape(at.shape), cfg.hx, cfg.hy, s.u, s.t)
+    dq, lap_zeta, bilap_zeta, t = at(s.jac), at(s.lp), at(s.u), at(s.t)
     forcing = _forcing_field(cfg)
     if q.ndim == 2:
         forcing = forcing[:, :, None]
 
     dq *= -cfg.rossby
+    psi_x = np.divide(at(s.gdx), 2.0 * cfg.hx, out=t)
     psi_x *= cfg.beta
     dq -= psi_x
-    dq -= np.multiply(zeta, cfg.rkb, out=s.work)
-    dq += np.multiply(lap_zeta, cfg.rkh, out=s.work)
+    dq -= np.multiply(zeta, cfg.rkb, out=t)
+    dq += np.multiply(lap_zeta, cfg.rkh, out=t)
     bilap_zeta *= cfg.rkh2
     dq -= bilap_zeta
-    dq += forcing
-    return _to_flat(dq, cfg)
+    out = np.add(at.interior(s.jac), forcing, out=np.empty(qg.shape))
+    return _to_flat(out, cfg)
 
 
 def rk4_step(q: np.ndarray, cfg: QGConfig, dt: float | None = None) -> np.ndarray:

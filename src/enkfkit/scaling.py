@@ -40,6 +40,24 @@ class ScalingStudy:
         return [row.seconds for row in self.rows if row.solver == solver]
 
 
+def check_sweep(solvers: list, axis: str, values, fixed: int) -> list[int]:
+    """The sweep values as ints; ConfigError for a study that cannot run."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+    values = [int(v) for v in values]
+    if len(values) < 3:
+        raise ConfigError(
+            f"a scaling sweep needs at least 3 grid points, got {len(values)}"
+        )
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError("sweep values must be strictly increasing")
+    if fixed < 1 or values[0] < 1:
+        raise ConfigError("sweep values and the fixed dimension must be positive")
+    if not solvers:
+        raise ConfigError("at least one solver is required")
+    return values
+
+
 def run_scaling_study(
     solvers,
     axis: str,
@@ -66,21 +84,8 @@ def run_scaling_study(
     ScalingStudy with one row per (solver, nobs, nens) and the fitted
     log-log slope of time versus the swept value per solver.
     """
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    values = [int(v) for v in values]
-    if len(values) < 3:
-        raise ConfigError(
-            f"a scaling sweep needs at least 3 grid points, got {len(values)}"
-        )
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError("sweep values must be strictly increasing")
-    if fixed < 1 or values[0] < 1:
-        raise ConfigError("sweep values and the fixed dimension must be positive")
     solvers = list(solvers)
-    if not solvers:
-        raise ConfigError("at least one solver is required")
-
+    values = check_sweep(solvers, axis, values, fixed)
     study = ScalingStudy(axis=axis)
     for i, value in enumerate(values):
         nobs, nens = (value, fixed) if axis == "nobs" else (fixed, value)

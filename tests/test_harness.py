@@ -449,6 +449,18 @@ class TestCli:
         assert main(["run", "--config", str(good), "--out", str(taken)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+        # a manifest's JSON types are held to the INI casts of its fields
+        echo = ExperimentConfig(name="bad").echo()
+        grid = dict(n=9, m=9, lx=1.0, ly=1.0, rkb=0.0, rkh=0.0, rkh2=0.0,
+                    beta="1", rossby=0.0)
+        for bad in ({"forcing": "8"}, {"forcing": None}, {"nens": 4.5},
+                    {"nens": True}, {"localization": "no"}, {"solvers": 5},
+                    {"model": "custom", "qg_grid": grid}):
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({"config": {**echo, **bad}}))
+            assert main(["run", "--config", str(manifest)]) == 2, bad
+            assert "configuration error" in capsys.readouterr().err, bad
+
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         calls = []
 
@@ -505,6 +517,20 @@ class TestCli:
         # rejected as configuration, not by numpy or BLAS mid-study
         assert main(["scale", "--config", "lorenz-small", "--sweep", sweep,
                      "--repeats", "1"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_scale_unusable_out_exit_code(self, tmp_path, monkeypatch,
+                                          capsys):
+        # rejected before the study, not by the CSV writer after it
+        def no_study(*args, **kwargs):
+            raise AssertionError("study started")
+
+        monkeypatch.setattr("enkfkit.cli.run_scaling_study", no_study)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["scale", "--config", "lorenz-small",
+                     "--sweep", "nobs=10,20,40", "--repeats", "1",
+                     "--out", str(taken)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
     def test_scale_small_sweep(self, tmp_path):

@@ -8,6 +8,7 @@ buffers and in-place accumulation, so every result must match bit for bit.
 
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import enkfkit
-from enkfkit.models import QG33, QGConfig, QGModel
+from enkfkit.models import QG33, QG65, QGConfig, QGModel
 from enkfkit.models import qg
 from enkfkit.rng import make_rng
 
@@ -115,10 +116,10 @@ def spun_up(cfg, members, seed, steps=5):
     return q
 
 
-CASES = [(QG33, None), (QG33, 1), (QG33, 3), (QG33, 20),
+CASES = [(QG33, None), (QG33, 1), (QG33, 3), (QG33, 20), (QG65, 20),
          (SKEWED, None), (SKEWED, 4)]
-IDS = ["qg33-single", "qg33-1", "qg33-3", "qg33-20", "skewed-single",
-       "skewed-4"]
+IDS = ["qg33-single", "qg33-1", "qg33-3", "qg33-20", "qg65-20",
+       "skewed-single", "skewed-4"]
 
 
 class TestBitsPinned:
@@ -206,6 +207,44 @@ class TestScratchReuse:
                 got = qg.rk4_step(q, QG33)
                 assert got.tobytes().hex() == fresh[str(members)]
                 qg.rk4_step(other, cfg)
+
+    @pytest.mark.parametrize("cfg,members", [(QG33, 20), (SKEWED, 4)])
+    def test_consecutive_calls_on_one_set(self, cfg, members):
+        # the band passes leave junk in the ring columns of the work arrays;
+        # none of it may reach the next call, even from a far larger state
+        shape = cfg.interior_shape + (members,)
+        loud, quiet = 1e5 * state(cfg, members, 44), spun_up(cfg, members, 45)
+        want = [reference_tendency(q, cfg) for q in (loud, quiet)]
+        scratch = qg._scratch(shape)
+        for q, ref in zip((loud, quiet), want):
+            assert np.array_equal(qg.tendency(q, cfg), ref)
+        assert qg._scratch(shape) is scratch
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the mmap threshold behaviour is glibc's")
+    def test_repeated_steps_do_not_page_fault(self):
+        # glibc serves allocations above its mmap threshold with fresh,
+        # zero-filled pages; a repeated step must reuse its work arrays and
+        # heap memory instead. A fresh process, since earlier tests raise
+        # the threshold.
+        script = """
+import resource
+from enkfkit.models import QG33, qg
+from enkfkit.rng import make_rng
+q = 100.0 * make_rng(46).standard_normal((QG33.nstate, 20))
+for _ in range(3):
+    qg.rk4_step(q, QG33)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    qg.rk4_step(q, QG33)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+        src = os.path.dirname(os.path.dirname(enkfkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert float(out.stdout) < 10
 
     def test_work_arrays_are_bounded(self):
         for n in range(7, 7 + 2 * qg._SCRATCH_SHAPES):
