@@ -124,7 +124,7 @@ def inflate(x: np.ndarray, alpha: float) -> np.ndarray:
     The mean is preserved exactly and the sample covariance scales by
     alpha^2.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:  # also true for nan
         raise ValueError(f"inflation factor must be >= 1, got {alpha}")
     x = np.asarray(x, dtype=float)
     if alpha == 1.0:
@@ -148,7 +148,7 @@ def influence_matrix_cyclic(
     """
     if scale is None:
         scale = float(nstate)
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError("influence scale must be positive")
     if h.indices is None:
         obs_idx = np.arange(nstate)

@@ -15,9 +15,12 @@ import configparser
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+import types
+import typing
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -50,7 +53,6 @@ ARTIFACT_VERSION = "0.1.0"
 
 VALID_MODELS = ("lorenz96", "qg33", "qg65", "qg129", "custom")
 VALID_SOLVERS = (*(c.value for c in SolverChoice), "free")
-VALID_OBS_STRATEGIES = ("uniform-stride", "random")
 
 # Conventional physical calibration of the model clocks, used purely to
 # label outputs: one ring-model time unit stands for five atmosphere
@@ -67,6 +69,39 @@ _SEED_ENV = {
     "ensemble": "ENKFKIT_SEED_ENSEMBLE",
     "observations": "ENKFKIT_SEED_OBS",
 }
+
+# what a field of each annotated type accepts; a value that passes is stored
+# as the plain type, so numpy scalars echo as JSON numbers
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, bool: (bool, np.bool_),
+            str: str, tuple: (tuple, list), dict: dict}
+
+
+def _field_kinds(owner) -> dict:
+    """Field name -> (the type its annotation names, whether None is allowed)."""
+    kinds = {}
+    for name, hint in typing.get_type_hints(owner).items():
+        args = typing.get_args(hint) if isinstance(hint, types.UnionType) else ()
+        kind = next((a for a in args if a is not type(None)), hint)
+        kinds[name] = (typing.get_origin(kind) or kind, type(None) in args)
+    return kinds
+
+
+def _typed(owner, settings: dict) -> dict:
+    """``settings`` of the dataclass ``owner``, each field held to its
+    annotated type and stored as that plain type; a bool is never a number,
+    and a float must be finite (a NaN would pass every range check)."""
+    kinds, typed = _field_kinds(owner), dict(settings)
+    for key, value in settings.items():
+        kind, nullable = kinds.get(key, (None, False))
+        if kind not in _ACCEPTS or value is None and nullable:
+            continue
+        if (not isinstance(value, _ACCEPTS[kind])
+                or isinstance(value, bool) and kind is not bool
+                or kind is float and not math.isfinite(value)):
+            what = "a finite float" if kind is float else kind.__name__
+            raise ConfigError(f"{key} = {value!r} is not {what}")
+        typed[key] = kind(value)
+    return typed
 
 
 @dataclass
@@ -110,12 +145,10 @@ class ExperimentConfig:
     seed_observations: int = 3
 
     def __post_init__(self):
-        # a NaN passes every comparison below, so finiteness comes first
-        numbers = [*vars(self).items(), *(self.qg_grid or {}).items()]
-        infinite = [f"{key} = {value!r}" for key, value in numbers
-                    if isinstance(value, float) and not math.isfinite(value)]
-        if infinite:
-            raise ConfigError(f"values must be finite: {infinite}")
+        # the one type check of INI files, manifests and direct construction
+        vars(self).update(_typed(type(self), vars(self)))
+        if self.qg_grid is not None:
+            self.qg_grid = _typed(QGConfig, self.qg_grid)
         for key in ("steps", "spinup_steps", "model_noise_std", "seed_truth",
                     "seed_ensemble", "seed_observations"):
             if (getattr(self, key) or 0) < 0:
@@ -131,6 +164,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown solver {s!r}; valid: {VALID_SOLVERS}"
                 )
+        if len(set(self.solvers)) < len(self.solvers):
+            raise ConfigError(f"a solver is listed twice: {self.solvers}")
         if self.analysis_interval < 1:
             raise ConfigError("analysis_interval must be at least 1")
         if self.steps % self.analysis_interval != 0:
@@ -142,15 +177,10 @@ class ExperimentConfig:
             raise ConfigError("nens must be at least 2")
         if self.inflation < 1.0:
             raise ConfigError("inflation must be >= 1")
-        if not 0.0 < self.pobs <= 1.0:
-            raise ConfigError("pobs must be in (0, 1]")
         if self.obs_variance <= 0:
             raise ConfigError("observation variance must be positive")
         if self.workers != 1:
             raise ConfigError(f"workers must be 1, got {self.workers}")
-        if self.obs_strategy not in VALID_OBS_STRATEGIES:
-            raise ConfigError(f"unknown observation strategy {self.obs_strategy!r}; "
-                              f"valid: {VALID_OBS_STRATEGIES}")
         spread = "init_spread_pct" if self.model == "lorenz96" else "std_ens"
         if getattr(self, spread) <= 0:
             raise ConfigError(f"{spread} must be positive")
@@ -164,7 +194,13 @@ class ExperimentConfig:
         if (self.model == "custom") != bool(self.qg_grid):
             raise ConfigError("model 'custom' needs a [model] grid definition, "
                               f"and only it takes one (model is {self.model!r})")
-        self.build_model()  # the model's own parameter checks, before any run
+        # the model's and the observation operator's own checks, before any run
+        nstate = self.build_model().config.nstate
+        try:
+            build_selection_operator(nstate, self.pobs, self.obs_strategy,
+                                     seed=self.seed_observations)
+        except ValueError as exc:
+            raise ConfigError(f"invalid observations: {exc}") from exc
 
     def build_model(self):
         """The model; a bad model parameter raises ConfigError."""
@@ -188,38 +224,18 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # INI parsing
 
-# [section] key -> (ExperimentConfig field, cast). A key the file leaves
-# out is not passed, so the field's default applies.
-_INI_KEYS = {
-    "experiment": {
-        "name": ("name", str), "model": ("model", str),
-        "solvers": ("solvers", lambda raw: tuple(
-            s.strip() for s in raw.split(",") if s.strip())),
-        "steps": ("steps", int),
-        "analysis_interval": ("analysis_interval", int),
-        "output_dir": ("output_dir", str)},
-    "model": {
-        "nstate": ("nstate", int), "forcing": ("forcing", float),
-        "dt": ("dt", float), "spinup_steps": ("spinup_steps", int),
-        "noise_std": ("model_noise_std", float)},
-    "ensemble": {
-        "nens": ("nens", int), "inflation": ("inflation", float),
-        "localization": ("localization", bool),
-        "localization_scale": ("localization_scale", float),
-        "init_spread_pct": ("init_spread_pct", float),
-        "std_ens": ("std_ens", float)},
-    "observations": {
-        "pobs": ("pobs", float), "variance": ("obs_variance", float),
-        "strategy": ("obs_strategy", str)},
-    "seeds": {
-        "truth": ("seed_truth", int), "ensemble": ("seed_ensemble", int),
-        "observations": ("seed_observations", int)},
-}
-
-# the custom QG grid: [model] keys read only when the file sets n
-_GRID_KEYS = {"n": int, "m": int, "lx": float, "ly": float, "rkb": float,
-              "rkh": float, "rkh2": float, "beta": float, "rossby": float,
-              "froude": float}
+# [section] keys; a key the file leaves out is not passed, so the field's
+# default applies. Each value is read as its field's annotated type.
+_INI_KEYS = {section: keys.split() for section, keys in {
+    "experiment": "name model solvers steps analysis_interval output_dir",
+    "model": "nstate forcing dt spinup_steps noise_std",
+    "ensemble": "nens inflation localization localization_scale init_spread_pct std_ens",
+    "observations": "pobs variance strategy",
+    "seeds": "truth ensemble observations"}.items()}
+# the keys not named as their field
+_INI_FIELDS = {"noise_std": "model_noise_std", "variance": "obs_variance",
+               "strategy": "obs_strategy", "truth": "seed_truth",
+               "ensemble": "seed_ensemble", "observations": "seed_observations"}
 
 
 def load_config(path_or_name: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -251,41 +267,15 @@ def load_config(path_or_name: str, overrides: dict | None = None) -> ExperimentC
     settings.update({k: v for k, v in (overrides or {}).items() if v is not None})
     try:
         return ExperimentConfig(**settings)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # an unknown key; an int past 1e308
         raise ConfigError(f"{path_or_name}: {exc}") from exc
-
-
-# the JSON types that hold a value of each INI cast, and the fields that
-# may be null
-_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
-_FIELD_CASTS = {name: cast for keys in _INI_KEYS.values()
-                for name, cast in keys.values()}
-_NULLABLE = {f.name for f in fields(ExperimentConfig) if f.default is None}
 
 
 def _manifest_settings(text: str, path: Path) -> dict:
     try:
-        payload = json.loads(text)
-        echo = dict(payload["config"])
-        echo["solvers"] = tuple(echo.get("solvers", ()))
-        if echo.get("qg_grid") is not None:
-            echo["qg_grid"] = dict(echo["qg_grid"])
+        return dict(json.loads(text)["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path} is not a run manifest: {exc}") from exc
-    # JSON values keep their own types; each must be one its field's INI
-    # cast reads, and is cast the same way
-    for values, casts in ((echo, _FIELD_CASTS),
-                          (echo.get("qg_grid") or {}, _GRID_KEYS)):
-        for key, value in values.items():
-            cast = casts.get(key)
-            if cast not in _JSON_TYPES or value is None and key in _NULLABLE:
-                continue
-            if (not isinstance(value, _JSON_TYPES[cast])
-                    or isinstance(value, bool) != (cast is bool)):
-                raise ConfigError(
-                    f"{path}: {key} = {value!r} is not {cast.__name__}")
-            values[key] = cast(value)
-    return echo
 
 
 def _ini_settings(text: str, source: str) -> dict:
@@ -299,21 +289,24 @@ def _ini_settings(text: str, source: str) -> dict:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
     settings, grid, unknown_keys = {}, {}, []
-    has_grid = parser.has_option("model", "n")
+    has_grid = parser.has_option("model", "n")  # QGConfig's fields are keys then
+    config_kinds, grid_kinds = _field_kinds(ExperimentConfig), _field_kinds(QGConfig)
     for section in parser.sections():
         for key in parser.options(section):
             if key in _INI_KEYS[section]:
-                field_name, cast = _INI_KEYS[section][key]
-                target = settings
-            elif section == "model" and has_grid and key in _GRID_KEYS:
-                field_name, cast, target = key, _GRID_KEYS[key], grid
+                field_name = _INI_FIELDS.get(key, key)
+                kind, target = config_kinds[field_name][0], settings
+            elif section == "model" and has_grid and key in grid_kinds:
+                field_name, kind, target = key, grid_kinds[key][0], grid
             else:
                 unknown_keys.append(f"[{section}] {key}")
                 continue
             raw = parser.get(section, key)
             try:
-                target[field_name] = (parser.getboolean(section, key)
-                                      if cast is bool else cast(raw))
+                target[field_name] = (
+                    parser.getboolean(section, key) if kind is bool else
+                    tuple(s.strip() for s in raw.split(",") if s.strip())
+                    if kind is tuple else kind(raw))
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
     if unknown_keys:

@@ -42,13 +42,13 @@ def gaussian_matrix(
 
     Raises
     ------
-    ValueError if any standard deviation is negative or ``std`` has the
-    wrong length.
+    ValueError if any standard deviation is negative or nan, or ``std`` has
+    the wrong length.
     """
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be non-negative")
     std_arr = np.asarray(std, dtype=float)
-    if np.any(std_arr < 0):
+    if not np.all(std_arr >= 0):  # a nan std fails too
         raise ValueError("standard deviations must be non-negative")
     if std_arr.ndim == 0:
         scale = std_arr

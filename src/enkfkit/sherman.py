@@ -123,11 +123,16 @@ def _init_workspace(r, v, d):
     return g
 
 
+def usable_pivots(denoms) -> bool:
+    """Whether SINGULAR_TOL <= |d| < inf for every denominator d (false for
+    nan): the one guard of the sweep and of the recursive oracle."""
+    size = np.abs(denoms)
+    return bool(np.all((SINGULAR_TOL <= size) & (size < np.inf)))
+
+
 def check_denominator(denom: float, level: int) -> None:
-    """Raise SingularUpdateError unless SINGULAR_TOL <= |denom| < inf; the
-    one guard of the sweep and of the recursive oracle (``level`` is
-    1-based)."""
-    if not SINGULAR_TOL <= abs(denom) < np.inf:  # also false for nan
+    """Raise SingularUpdateError unless ``usable_pivots(denom)`` (1-based level)."""
+    if not usable_pivots(denom):
         raise SingularUpdateError(level, denom)
 
 
@@ -147,7 +152,7 @@ def _sweep(r, v, d):
     # when one fails the guard, or the factorization stops, the literal
     # sweep forms them from Nobs-space vectors and decides
     pivots = np.diag(c) ** 2
-    if info > 0 or not np.all((SINGULAR_TOL <= pivots) & (pivots < np.inf)):
+    if info > 0 or not usable_pivots(pivots):
         return _sweep_reference(r, v, d)[0]
     s, _ = dpotrs(c, s, lower=1, overwrite_b=1)
     dgemm(-1.0, g[:, :nens], s, beta=1.0, c=g[:, nens:], overwrite_c=1)

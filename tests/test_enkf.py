@@ -13,7 +13,7 @@ from enkfkit.enkf import (
     member_deviations,
     perturb_observations,
 )
-from enkfkit.rng import make_rng
+from enkfkit.rng import gaussian_matrix, make_rng
 from enkfkit.sherman import solve_sherman
 
 
@@ -187,6 +187,21 @@ class TestInfluenceMatrix:
     def test_bad_scale(self):
         with pytest.raises(ValueError):
             influence_matrix_cyclic(10, SelectionOperator.identity(), scale=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+@pytest.mark.parametrize("call", [
+    lambda: inflate(np.ones((2, 3)), np.nan),
+    lambda: influence_matrix_cyclic(10, SelectionOperator.identity(),
+                                    scale=np.nan),
+    lambda: gaussian_matrix(make_rng(1), 2, 3, std=np.nan),
+    lambda: perturb_observations(np.zeros(2), np.array([1.0, -1.0]), 3,
+                                 make_rng(1)),
+], ids=["inflate", "influence_scale", "gaussian_std", "negative_variance"])
+def test_range_guards_reject_nan(call):
+    # a NaN fails every comparison, so each guard asks for the good range
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestAnalysisStep:

@@ -176,6 +176,31 @@ class TestConfig:
             monkeypatch.setenv(env, "99")
         assert load_config(str(path)) == cfg
 
+    # grid of a custom model with one mistyped value
+    _GRID = dict(n=9, m=9, lx=1.0, ly=1.0, rkb=0.0, rkh=0.0, rkh2=0.0,
+                 beta="1", rossby=0.0)
+
+    @pytest.mark.parametrize("bad", [
+        {"forcing": "8"}, {"nens": 20.0}, {"nens": True},
+        {"localization": "no"}, {"forcing": None},
+        {"model": "custom", "qg_grid": _GRID},
+        {"solvers": ("sherman", "sherman")},
+    ], ids=["forcing=str", "nens=float", "nens=bool", "localization=str",
+            "forcing=None", "grid-beta=str", "repeated-solver"])
+    def test_direct_construction_checked(self, bad):
+        # built in code, a config is held to the same types as a file
+        with pytest.raises(ConfigError):
+            tiny_config(**bad)
+
+    def test_numpy_scalars_echo_as_json(self, tmp_path):
+        cfg = tiny_config(solvers=("sherman",), nens=np.int64(6),
+                          inflation=np.float32(1.0))
+        assert type(cfg.nens) is int and type(cfg.inflation) is float
+        emit_csv(run_experiment(cfg), tmp_path)
+        payload = json.loads((tmp_path / "manifest.json").read_text())
+        assert payload["config"]["nens"] == 6
+        assert payload["config"]["inflation"] == 1.0
+
     def test_every_field_echoed(self):
         cfg = tiny_config()
         echo = cfg.echo()
@@ -414,6 +439,7 @@ class TestCli:
         monkeypatch.setattr(experiment, "_truth_start", no_spinup)
         cases = [
             ("lorenz96", "solvers = qr"),
+            ("lorenz96", "solvers = sherman, sherman"),
             ("lorenz96", "[observations]\nstrategy = diagonal"),
             ("lorenz96", "[model]\nnstate = 3"),
             ("lorenz96", "[model]\ndt = -0.05"),
@@ -449,11 +475,12 @@ class TestCli:
         assert main(["run", "--config", str(good), "--out", str(taken)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-        # a manifest's JSON types are held to the INI casts of its fields
+        # a manifest's JSON values are held to the types of their fields
         echo = ExperimentConfig(name="bad").echo()
         grid = dict(n=9, m=9, lx=1.0, ly=1.0, rkb=0.0, rkh=0.0, rkh2=0.0,
                     beta="1", rossby=0.0)
-        for bad in ({"forcing": "8"}, {"forcing": None}, {"nens": 4.5},
+        for bad in ({"forcing": "8"}, {"forcing": None}, {"forcing": 10**400},
+                    {"nens": 4.5},
                     {"nens": True}, {"localization": "no"}, {"solvers": 5},
                     {"model": "custom", "qg_grid": grid}):
             manifest = tmp_path / "manifest.json"

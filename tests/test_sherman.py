@@ -97,9 +97,9 @@ class TestSolveSherman:
         # the ensemble-space solve is algebraically the level-by-level
         # sweep: the pivots of I + V'R^-1 V are its denominators
         r, v, d = random_system(56 + nens, 150, nens)
-        grouped = solve_sherman(r, v, d).z
+        z = solve_sherman(r, v, d).z
         reference, _ = _sweep_reference(r, v, d)
-        assert np.abs(grouped - reference).max() <= 1e-12 * max(
+        assert np.abs(z - reference).max() <= 1e-12 * max(
             1.0, np.abs(reference).max())
 
     def test_fallback_on_lost_gram_pivot(self):
