@@ -105,6 +105,8 @@ def perturb_observations(
     r = np.asarray(r, dtype=float)
     if y.shape != r.shape:
         raise ValueError("y and r must have the same length")
+    if not np.all(r >= 0):  # also true for nan
+        raise ValueError("observation variances must be non-negative")
     eps = gaussian_matrix(rng, y.shape[0], nens, 0.0, np.sqrt(r))
     return ObservationBatch(y=y, perturbed=y[:, None] + eps, perturbations=eps)
 

@@ -12,6 +12,7 @@ as CSV plus plot-ready curve files.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import hashlib
 import json
 import math
@@ -95,12 +96,15 @@ def _typed(owner, settings: dict) -> dict:
         kind, nullable = kinds.get(key, (None, False))
         if kind not in _ACCEPTS or value is None and nullable:
             continue
-        if (not isinstance(value, _ACCEPTS[kind])
-                or isinstance(value, bool) and kind is not bool
-                or kind is float and not math.isfinite(value)):
+        plain = None
+        if (isinstance(value, _ACCEPTS[kind])
+                and (kind is bool or not isinstance(value, bool))):
+            with contextlib.suppress(OverflowError):  # an int past 1e308
+                plain = kind(value)
+        if plain is None or kind is float and not math.isfinite(plain):
             what = "a finite float" if kind is float else kind.__name__
             raise ConfigError(f"{key} = {value!r} is not {what}")
-        typed[key] = kind(value)
+        typed[key] = plain
     return typed
 
 
@@ -267,7 +271,7 @@ def load_config(path_or_name: str, overrides: dict | None = None) -> ExperimentC
     settings.update({k: v for k, v in (overrides or {}).items() if v is not None})
     try:
         return ExperimentConfig(**settings)
-    except (TypeError, OverflowError) as exc:  # an unknown key; an int past 1e308
+    except TypeError as exc:  # an unknown key
         raise ConfigError(f"{path_or_name}: {exc}") from exc
 
 

@@ -20,6 +20,12 @@ from .solvers import solve_analysis
 from .verify import random_system
 
 SWEEP_AXES = ("nobs", "nens")
+# The points are timed in rounds, and every point whose samples so far took
+# less than REVISIT_SECONDS is timed again in each round. The machine's
+# speed state changes within seconds, so one burst of samples could catch
+# a point only in its slow state; its best over the rounds does not.
+ROUNDS = 10
+REVISIT_SECONDS = 1.0
 
 
 @dataclass
@@ -74,10 +80,11 @@ def run_scaling_study(
     axis : the swept dimension, "nobs" or "nens".
     values : at least 3 sweep points, strictly increasing.
     fixed : the value of the non-swept dimension.
-    repeats : minimum timings per point; fast measurements are repeated
-        until 0.1 s of samples accumulate (up to 100 runs) so scheduler
-        and allocator noise cannot distort the cheap end of a sweep. The
-        minimum is recorded.
+    repeats : minimum timings per visit of a point; fast measurements are
+        repeated until 0.1 s of samples accumulate (up to 100 runs) so
+        scheduler and allocator noise cannot distort the cheap end of a
+        sweep. Cheap points are visited in up to ROUNDS rounds, and the
+        minimum over all visits is recorded.
 
     Returns
     -------
@@ -86,23 +93,30 @@ def run_scaling_study(
     """
     solvers = list(solvers)
     values = check_sweep(solvers, axis, values, fixed)
-    study = ScalingStudy(axis=axis)
-    for i, value in enumerate(values):
-        nobs, nens = (value, fixed) if axis == "nobs" else (fixed, value)
-        r, v, d = random_system(make_rng(seed + i), nobs, nens)
-        for solver in solvers:
-            solve_analysis(solver, r, v, d)  # warmup, excluded from timing
-            best = np.inf
-            total = 0.0
-            runs = 0
-            while runs < repeats or (total < 0.1 and runs < 100):
-                t0 = time.perf_counter()
-                solve_analysis(solver, r, v, d)
-                elapsed = time.perf_counter() - t0
-                best = min(best, elapsed)
-                total += elapsed
-                runs += 1
-            study.rows.append(ScalingRow(solver, nobs, nens, best))
+    shapes = [(x, fixed) if axis == "nobs" else (fixed, x) for x in values]
+    best, spent = {}, {}
+    for _ in range(ROUNDS):
+        for i, shape in enumerate(shapes):
+            due = [s for s in solvers
+                   if spent.get((s, i), 0.0) < REVISIT_SECONDS]
+            if not due:
+                continue
+            r, v, d = random_system(make_rng(seed + i), *shape)
+            for solver in due:
+                solve_analysis(solver, r, v, d)  # warmup, excluded from timing
+                total = 0.0
+                runs = 0
+                while runs < repeats or (total < 0.1 and runs < 100):
+                    t0 = time.perf_counter()
+                    solve_analysis(solver, r, v, d)
+                    elapsed = time.perf_counter() - t0
+                    best[solver, i] = min(best.get((solver, i), np.inf), elapsed)
+                    total += elapsed
+                    runs += 1
+                spent[solver, i] = spent.get((solver, i), 0.0) + total
+    study = ScalingStudy(axis=axis, rows=[
+        ScalingRow(solver, *shape, best[solver, i])
+        for i, shape in enumerate(shapes) for solver in solvers])
 
     log_x = np.log(np.asarray(values, dtype=float))
     for solver in solvers:

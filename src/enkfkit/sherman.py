@@ -23,9 +23,15 @@ of the earlier levels, by Woodbury), so the sweep's result is
 Z = R^{-1} D - P C^{-1} V' R^{-1} D with P = R^{-1} V, the V-part after
 level 0. Two products with k = Nobs form C and V' R^{-1} D, a Cholesky
 factorization and solve take the Nens x Nens part, and one product with
-k = Nens updates the D-part in place: 3 Nens^2 Nobs + O(Nens^3)
-multiplications, the sweep's leading term. The squared diagonal of the
-factor holds the sweep's denominators. When the factorization stops or a
+k = Nens updates R^{-1} D in place: 3 Nens^2 Nobs + O(Nens^3)
+multiplications, the sweep's leading term. This path keeps no workspace of
+2 Nens columns: it works in the caller's C order, and the BLAS calls read
+the transposes of V, P and R^{-1} D as Fortran-ordered views without a
+copy. P goes into a C-ordered buffer that each thread reuses while the
+shape stays the same (a fresh Nobs x Nens array per call would come back
+as zero-filled pages above glibc's mmap threshold), and R^{-1} D into a
+fresh array that becomes Z in place. The squared diagonal of the factor
+holds the sweep's denominators. When the factorization stops or a
 pivot fails the guard, the solve falls back to the literal sweep, which
 forms every denominator from Nobs-space vectors: it raises at the level
 that fails, or returns Z where the pivots of C lost their digits (a
@@ -42,6 +48,7 @@ oracle for this sweep, lives in :mod:`enkfkit.verify`.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 
@@ -54,6 +61,8 @@ from .errors import SingularUpdateError
 # Guard for |1 + v'u|. The analysis matrix is SPD for valid inputs, so a
 # denominator this small, or an overflowed one, signals corrupted input.
 SINGULAR_TOL = 1e-14
+
+_local = threading.local()
 
 
 @dataclass
@@ -139,14 +148,17 @@ def check_denominator(denom: float, level: int) -> None:
 def _sweep(r, v, d):
     """All Nens levels in ensemble space (the production path); returns z."""
     nens = v.shape[1]
-    g = _init_workspace(r, v, d)
-    # V' of a C-ordered V is an F-contiguous view that dgemm reads without
-    # a copy, and any other layout gets one C-ordered copy, so Z does not
-    # depend on the layout
-    vt = np.ascontiguousarray(v).T
-    c = dgemm(1.0, vt, g[:, :nens])
+    # one C-ordered V whatever the caller's layout, so Z does not depend on it
+    v = np.ascontiguousarray(v)
+    # this thread's P buffer, kept for the last shape only
+    p = getattr(_local, "p", None)
+    if p is None or p.shape != v.shape:
+        p = _local.p = np.empty(v.shape)
+    np.divide(v, r[:, None], out=p)
+    z = np.divide(d, r[:, None], out=np.empty(d.shape))
+    c = dgemm(1.0, v.T, p.T, trans_b=1)
     c.flat[::nens + 1] += 1.0
-    s = dgemm(1.0, vt, g[:, nens:])
+    s = dgemm(1.0, v.T, z.T, trans_b=1)
     c, info = dpotrf(c, lower=1, overwrite_a=1)
     # the squared diagonal of the factor holds the sweep's denominators;
     # when one fails the guard, or the factorization stops, the literal
@@ -155,8 +167,9 @@ def _sweep(r, v, d):
     if info > 0 or not usable_pivots(pivots):
         return _sweep_reference(r, v, d)[0]
     s, _ = dpotrs(c, s, lower=1, overwrite_b=1)
-    dgemm(-1.0, g[:, :nens], s, beta=1.0, c=g[:, nens:], overwrite_c=1)
-    return g[:, nens:].copy()
+    # Z' -= S' P', written in place through the transposed view
+    dgemm(-1.0, s, p.T, beta=1.0, c=z.T, trans_a=1, overwrite_c=1)
+    return z
 
 
 def _sweep_reference(r, v, d):

@@ -83,10 +83,11 @@ def solve_svd(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     if not np.isfinite(s).all():
         raise NumericalFailureError(
             f"diag(r)^(-1/2) V overflowed: singular values {s}")
-    dw = d / root_r[:, None]
+    z = d / root_r[:, None]
     shrink = 1.0 / (s * s + 1.0) - 1.0
-    zw = dw + u @ (shrink[:, None] * (u.T @ dw))
-    z = zw / root_r[:, None]
+    # the whitened D becomes the whitened Z, then Z, in place
+    z += u @ (shrink[:, None] * (u.T @ z))
+    z /= root_r[:, None]
     return SolverResult(z=z, seconds=time.perf_counter() - t0)
 
 

@@ -189,7 +189,7 @@ class TestInfluenceMatrix:
             influence_matrix_cyclic(10, SelectionOperator.identity(), scale=0.0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call", [
     lambda: inflate(np.ones((2, 3)), np.nan),
     lambda: influence_matrix_cyclic(10, SelectionOperator.identity(),
@@ -199,7 +199,8 @@ class TestInfluenceMatrix:
                                  make_rng(1)),
 ], ids=["inflate", "influence_scale", "gaussian_std", "negative_variance"])
 def test_range_guards_reject_nan(call):
-    # a NaN fails every comparison, so each guard asks for the good range
+    # a NaN fails every comparison, so each guard asks for the good range,
+    # and raises before numpy can warn about the bad value
     with pytest.raises(ValueError):
         call()
 

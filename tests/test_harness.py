@@ -1,12 +1,13 @@
 import csv
 import dataclasses
 import json
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from enkfkit import experiment
+from enkfkit import experiment, scaling
 from enkfkit.cli import main
 from enkfkit.errors import ConfigError, SingularUpdateError
 from enkfkit.experiment import (
@@ -184,9 +185,10 @@ class TestConfig:
         {"forcing": "8"}, {"nens": 20.0}, {"nens": True},
         {"localization": "no"}, {"forcing": None},
         {"model": "custom", "qg_grid": _GRID},
-        {"solvers": ("sherman", "sherman")},
+        {"solvers": ("sherman", "sherman")}, {"forcing": 10**400},
     ], ids=["forcing=str", "nens=float", "nens=bool", "localization=str",
-            "forcing=None", "grid-beta=str", "repeated-solver"])
+            "forcing=None", "grid-beta=str", "repeated-solver",
+            "forcing=10**400"])
     def test_direct_construction_checked(self, bad):
         # built in code, a config is held to the same types as a file
         with pytest.raises(ConfigError):
@@ -413,6 +415,24 @@ class TestScaling:
         study = run_scaling_study(["sherman"], "nens", [2, 4, 8],
                                   fixed=64, repeats=1)
         assert all(row.nobs == 64 for row in study.rows)
+
+    def test_best_time_over_rounds(self, monkeypatch):
+        # the machine is slow (2 ms a solve) until the sweep comes back to
+        # its first point, and fast (1 ms) after; every point's best time
+        # is the fast one, where one pass over the points reads only 2 ms
+        clock = {"now": 0.0, "slow": True, "last": None}
+
+        def solve(solver, r, v, d):
+            if clock["last"] not in (None, r.size) and r.size == 8:
+                clock["slow"] = False
+            clock["last"] = r.size
+            clock["now"] += 0.002 if clock["slow"] else 0.001
+
+        monkeypatch.setattr(scaling, "solve_analysis", solve)
+        monkeypatch.setattr(scaling, "time", types.SimpleNamespace(
+            perf_counter=lambda: clock["now"]))
+        study = run_scaling_study(["sherman"], "nobs", [8, 16, 32], fixed=2)
+        assert study.seconds_for("sherman") == pytest.approx([0.001] * 3)
 
 
 class TestCli:

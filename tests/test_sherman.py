@@ -2,6 +2,8 @@ import os
 import platform
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +82,15 @@ class TestSolveSherman:
         with pytest.raises(SingularUpdateError):
             _sweep_reference(r, v, d)
 
+    def test_pivot_guard_at_later_level(self):
+        # levels 1-9 see zero columns; level 10 meets 1 + v'u = 1 - 1 = 0,
+        # so dpotrf stops there and the literal sweep's guard reports it
+        v = np.zeros((1, 12))
+        v[0, 9:] = 1.0
+        with pytest.raises(SingularUpdateError) as info:
+            _sweep(np.array([-1.0]), v, np.ones((1, 12)))
+        assert info.value.level == 10
+
     def test_overflowed_pivot_guard(self):
         # v'u = 2e400 overflows, so 1 + v'u = inf and h = u / inf = 0 would
         # return Z = D; the guard must raise instead
@@ -93,7 +104,7 @@ class TestSolveSherman:
             solve_sherman(r, v, d, count_ops=True)
 
     @pytest.mark.parametrize("nens", [1, 3, 8, 9, 16, 31])
-    def test_grouped_path_matches_reference(self, nens):
+    def test_capacitance_solve_matches_literal_sweep(self, nens):
         # the ensemble-space solve is algebraically the level-by-level
         # sweep: the pivots of I + V'R^-1 V are its denominators
         r, v, d = random_system(56 + nens, 150, nens)
@@ -252,7 +263,7 @@ def assert_layout_independent(solve, r, v, d):
                        zip(inputs, (r, vl, dl)))
 
 
-class TestBlocked:
+class TestWorkspace:
     @pytest.mark.parametrize("nobs,nens", [(300, 12), (200, 16), (2000, 32)])
     def test_layout_bitwise_equal(self, nobs, nens):
         # every product the sweep makes with V goes to one BLAS on one
@@ -260,43 +271,71 @@ class TestBlocked:
         r, v, d = random_system(81, nobs, nens)
         assert_layout_independent(lambda *a: solve_sherman(*a).z, r, v, d)
 
-    def test_pivot_guard_at_later_level(self):
-        # levels 1-9 see zero columns; level 10 meets 1 + v'u = 1 - 1 = 0,
-        # so dpotrf stops there and the literal sweep's guard reports it
-        v = np.zeros((1, 12))
-        v[0, 9:] = 1.0
-        with pytest.raises(SingularUpdateError) as info:
-            _sweep(np.array([-1.0]), v, np.ones((1, 12)))
-        assert info.value.level == 10
+    def test_returned_z_outlives_the_next_solve(self):
+        # P's buffer is reused by the next solve of the same shape; Z is not
+        z = solve_sherman(*random_system(83, 400, 12)).z
+        kept = z.copy()
+        later = solve_sherman(*random_system(84, 400, 12)).z
+        assert not np.shares_memory(z, later)
+        assert np.array_equal(z, kept)
+
+    def test_threads_get_serial_results(self):
+        # each thread has its own P buffer, so threads solving different
+        # systems of one shape at once get the serial Z; more threads than
+        # cores and a short switch interval make them interleave
+        systems = [random_system(85 + i, 3000, 24) for i in range(4)]
+        serial = [solve_sherman(*system).z for system in systems]
+        start = threading.Barrier(len(systems), timeout=60)
+
+        def solve_repeatedly(i):
+            start.wait()
+            return [solve_sherman(*systems[i]).z for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(systems)) as pool:
+                runs = list(pool.map(solve_repeatedly, range(len(systems)),
+                                     timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for z, zs in zip(serial, runs):
+            assert all(np.array_equal(z, other) for other in zs)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the mmap threshold behaviour is glibc's")
-    @pytest.mark.parametrize("nobs,nens",
-                             [(8000, 16), (500, 200), (20000, 64)])
-    def test_repeated_solves_do_not_page_fault(self, nobs, nens):
+    @pytest.mark.parametrize("shapes", [
+        [(8000, 16)], [(500, 200)], [(20000, 64)],
+        [(1000, 16), (2000, 16), (4000, 16), (8000, 16)],
+    ], ids=["8000-16", "500-200", "20000-64", "ascending-16"])
+    def test_repeated_solves_do_not_page_fault(self, shapes):
         # glibc serves allocations above its mmap threshold with fresh,
         # zero-filled pages; a repeated solve must reuse heap memory
-        # instead. A fresh process, since earlier tests raise the threshold.
+        # instead, also when the row count grows from solve to solve as in
+        # the scaling study. A fresh process, since earlier tests raise
+        # the threshold.
         script = f"""
 import resource
 import numpy as np
 from enkfkit.sherman import solve_sherman
 rng = np.random.default_rng(82)
-r = rng.uniform(0.5, 2.0, {nobs})
-v, d = rng.standard_normal((2, {nobs}, {nens}))
-for _ in range(3):
-    solve_sherman(r, v, d)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(10):
-    solve_sherman(r, v, d)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+for nobs, nens in {shapes}:
+    r = rng.uniform(0.5, 2.0, nobs)
+    v, d = rng.standard_normal((2, nobs, nens))
+    for _ in range(3):
+        solve_sherman(r, v, d)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        solve_sherman(r, v, d)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
 """
         src = str(Path(enkfkit.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
-        assert float(out.stdout) < 100
+        faults = [float(line) for line in out.stdout.split()]
+        assert len(faults) == len(shapes) and max(faults) < 100, faults
 
 
 class TestEnsembleSpaceProperties:
