@@ -104,9 +104,10 @@ class TestSolveSherman:
             solve_sherman(r, v, d, count_ops=True)
 
     @pytest.mark.parametrize("nens", [1, 3, 8, 9, 16, 31])
-    def test_capacitance_solve_matches_literal_sweep(self, nens):
-        # the ensemble-space solve is algebraically the level-by-level
-        # sweep: the pivots of I + V'R^-1 V are its denominators
+    def test_grouped_path_matches_reference(self, nens):
+        # the ensemble-space (capacitance) solve is algebraically the
+        # level-by-level sweep: the pivots of I + V'R^-1 V are its
+        # denominators (the name dates from a level-grouped fast path)
         r, v, d = random_system(56 + nens, 150, nens)
         z = solve_sherman(r, v, d).z
         reference, _ = _sweep_reference(r, v, d)
