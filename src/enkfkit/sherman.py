@@ -124,14 +124,6 @@ def validate_system(r, v, d):
     return r, v, d
 
 
-def _init_workspace(r, v, d):
-    nobs, nens = v.shape
-    g = np.empty((nobs, 2 * nens), order="F")
-    np.divide(v, r[:, None], out=g[:, :nens])
-    np.divide(d, r[:, None], out=g[:, nens:])
-    return g
-
-
 def usable_pivots(denoms) -> bool:
     """Whether SINGULAR_TOL <= |d| < inf for every denominator d (false for
     nan): the one guard of the sweep and of the recursive oracle."""
@@ -176,7 +168,9 @@ def _sweep_reference(r, v, d):
     """One rank-one update per level, exactly as the cost accounting counts
     it; returns z and the multiplications and divisions performed."""
     nobs, nens = v.shape
-    g = _init_workspace(r, v, d)
+    g = np.empty((nobs, 2 * nens), order="F")
+    np.divide(v, r[:, None], out=g[:, :nens])
+    np.divide(d, r[:, None], out=g[:, nens:])
     ops = 2 * nobs * nens
 
     for k in range(nens):

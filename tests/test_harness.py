@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from enkfkit import experiment, scaling
+from enkfkit import experiment, scaling, verify
 from enkfkit.cli import main
 from enkfkit.errors import ConfigError, SingularUpdateError
 from enkfkit.experiment import (
@@ -591,4 +591,4 @@ class TestCli:
     def test_verify_subcommand_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") >= 8 and "FAIL" not in out
+        assert out.count("PASS") == len(verify.CHECKS) and "FAIL" not in out

@@ -117,21 +117,6 @@ class TestRankKUpdate:
         w = sym_rank_k_update(v, np.ones(3))
         assert np.array_equal(w, np.diag([2.0, 1.0, 1.0]))
 
-    def test_matches_naive_triple_loop(self):
-        rng = make_rng(21)
-        nobs, nens = 12, 5
-        v = rng.standard_normal((nobs, nens)) / np.sqrt(nens - 1)
-        r = rng.uniform(0.5, 2.0, nobs)
-        w = sym_rank_k_update(v, r)
-        naive = np.zeros((nobs, nobs))
-        for i in range(nobs):
-            for j in range(nobs):
-                naive[i, j] = sum(v[i, k] * v[j, k] for k in range(nens))
-        naive += np.diag(r)
-        # W lives in the lower triangle; the strict upper one is zero
-        assert np.abs(np.tril(w - naive)).max() <= 1e-13 * np.abs(naive).max()
-        assert not np.triu(w, 1).any()
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sym_rank_k_update(np.zeros((3, 2)), np.ones(4))

@@ -20,14 +20,6 @@ from enkfkit.solvers import solve_cholesky, solve_svd
 from enkfkit.verify import solve_sherman_recursive
 
 
-def random_system(seed, nobs, nens, r_lo=0.5, r_hi=2.0):
-    rng = make_rng(seed)
-    r = rng.uniform(r_lo, r_hi, nobs)
-    v = rng.standard_normal((nobs, nens))
-    d = rng.standard_normal((nobs, nens))
-    return r, v, d
-
-
 def dense_solve(r, v, d):
     # independent oracle: assemble the full matrix and use Gaussian elimination
     return np.linalg.solve(np.diag(r) + v @ v.T, d)
@@ -45,13 +37,13 @@ class TestSolveSherman:
         assert np.allclose(z, [[0.5]], atol=1e-15)
 
     def test_against_dense_solve(self):
-        r, v, d = random_system(31, 5, 3)
+        r, v, d = verify.random_system(make_rng(31), 5, 3)
         z = solve_sherman(r, v, d).z
         assert np.abs(z - dense_solve(r, v, d)).max() <= 1e-11
 
     @pytest.mark.parametrize("nobs,nens", [(50, 2), (200, 16), (2000, 128)])
     def test_residual_bound(self, nobs, nens):
-        r, v, d = random_system(40 + nens, nobs, nens)
+        r, v, d = verify.random_system(make_rng(40 + nens), nobs, nens)
         z = solve_sherman(r, v, d).z
         residual = np.abs(r[:, None] * z + v @ (v.T @ z) - d).max()
         v_norm = np.abs(v).sum(axis=1).max()
@@ -108,7 +100,7 @@ class TestSolveSherman:
         # the ensemble-space (capacitance) solve is algebraically the
         # level-by-level sweep: the pivots of I + V'R^-1 V are its
         # denominators (the name dates from a level-grouped fast path)
-        r, v, d = random_system(56 + nens, 150, nens)
+        r, v, d = verify.random_system(make_rng(56 + nens), 150, nens)
         z = solve_sherman(r, v, d).z
         reference, _ = _sweep_reference(r, v, d)
         assert np.abs(z - reference).max() <= 1e-12 * max(
@@ -134,7 +126,7 @@ class TestSolveSherman:
         def fail(*args):
             raise AssertionError("the literal sweep ran")
 
-        r, v, d = random_system(58, 300, 24)
+        r, v, d = verify.random_system(make_rng(58), 300, 24)
         monkeypatch.setattr(sherman, "_sweep_reference", fail)
         z = solve_sherman(r, v, d).z
         assert np.abs(z - dense_solve(r, v, d)).max() <= 1e-11
@@ -205,25 +197,6 @@ class TestRecursive:
         x = np.array([2.0, 8.0])
         assert np.array_equal(solve_sherman_recursive(r, v, x, k=0), [1.0, 2.0])
 
-    @pytest.mark.parametrize("nens", [1, 2, 3, 4, 5, 6])
-    def test_matches_iterative(self, nens):
-        r, v, d = random_system(60 + nens, 17, nens)
-        z = solve_sherman(r, v, d).z
-        for i in range(nens):
-            zi = solve_sherman_recursive(r, v, d[:, i])
-            assert np.abs(zi - z[:, i]).max() <= 1e-12
-
-    def test_first_pivot_solved_four_times_at_depth_three(self):
-        # without memoization the base solve for the first pivot column
-        # appears once per leaf path: exactly 4 times at depth 3
-        r, v, d = random_system(71, 9, 3)
-        log = []
-        solve_sherman_recursive(r, v, d[:, 0], base_log=log)
-        assert log.count(1) == 4
-        assert log.count(0) == 1  # the right-hand side itself
-        assert log.count(2) == 2
-        assert log.count(3) == 1
-
     def test_overflowed_denominator_raises(self):
         # the oracle shares the sweep's guard: 1 + v'u = inf would otherwise
         # give g * (v'f / inf) = 0 and return x unchanged
@@ -234,12 +207,12 @@ class TestRecursive:
         assert info.value.level == 1
 
     def test_size_cap(self):
-        r, v, d = random_system(72, 10, 9)
+        r, v, d = verify.random_system(make_rng(72), 10, 9)
         with pytest.raises(ValueError):
             solve_sherman_recursive(r, v, d[:, 0])
 
     def test_depth_out_of_range(self):
-        r, v, d = random_system(73, 6, 2)
+        r, v, d = verify.random_system(make_rng(73), 6, 2)
         with pytest.raises(ValueError):
             solve_sherman_recursive(r, v, d[:, 0], k=3)
 
@@ -269,14 +242,14 @@ class TestWorkspace:
     def test_layout_bitwise_equal(self, nobs, nens):
         # every product the sweep makes with V goes to one BLAS on one
         # layout of V whatever the caller's, so Z does not depend on it
-        r, v, d = random_system(81, nobs, nens)
+        r, v, d = verify.random_system(make_rng(81), nobs, nens)
         assert_layout_independent(lambda *a: solve_sherman(*a).z, r, v, d)
 
     def test_returned_z_outlives_the_next_solve(self):
         # P's buffer is reused by the next solve of the same shape; Z is not
-        z = solve_sherman(*random_system(83, 400, 12)).z
+        z = solve_sherman(*verify.random_system(make_rng(83), 400, 12)).z
         kept = z.copy()
-        later = solve_sherman(*random_system(84, 400, 12)).z
+        later = solve_sherman(*verify.random_system(make_rng(84), 400, 12)).z
         assert not np.shares_memory(z, later)
         assert np.array_equal(z, kept)
 
@@ -284,7 +257,8 @@ class TestWorkspace:
         # each thread has its own P buffer, so threads solving different
         # systems of one shape at once get the serial Z; more threads than
         # cores and a short switch interval make them interleave
-        systems = [random_system(85 + i, 3000, 24) for i in range(4)]
+        systems = [verify.random_system(make_rng(85 + i), 3000, 24)
+                   for i in range(4)]
         serial = [solve_sherman(*system).z for system in systems]
         start = threading.Barrier(len(systems), timeout=60)
 
@@ -364,19 +338,8 @@ class TestOpCount:
         assert long_op_count(3, 3) == 108
         assert long_op_count(1, 1) == 6
 
-    def test_instrumented_counter_matches(self):
-        r, v, d = random_system(91, 10, 4)
-        result = solve_sherman(r, v, d, count_ops=True)
-        assert result.long_ops == long_op_count(4, 10) == 600
-
-    @pytest.mark.parametrize("nens,nobs", [(1, 1), (2, 7), (5, 40), (16, 320)])
-    def test_counter_equals_formula(self, nens, nobs):
-        r, v, d = random_system(92 + nens, nobs, nens)
-        result = solve_sherman(r, v, d, count_ops=True)
-        assert result.long_ops == long_op_count(nens, nobs)
-
     def test_uncounted_by_default(self):
-        r, v, d = random_system(93, 4, 2)
+        r, v, d = verify.random_system(make_rng(93), 4, 2)
         assert solve_sherman(r, v, d).long_ops is None
 
     def test_formula_validation(self):

@@ -1,19 +1,11 @@
 import numpy as np
 import pytest
 
-from enkfkit import solvers
+from enkfkit import solvers, verify
 from enkfkit.errors import NotPositiveDefiniteError, NumericalFailureError
 from enkfkit.rng import make_rng
 from enkfkit.solvers import SolverChoice, solve_analysis, solve_cholesky, solve_svd
 from enkfkit.sherman import solve_sherman
-
-
-def random_system(seed, nobs, nens):
-    rng = make_rng(seed)
-    r = rng.uniform(0.5, 2.0, nobs)
-    v = rng.standard_normal((nobs, nens))
-    d = rng.standard_normal((nobs, nens))
-    return r, v, d
 
 
 class TestCholeskySolver:
@@ -28,7 +20,7 @@ class TestCholeskySolver:
         assert np.allclose(z.z, [[0.5]], atol=1e-15)
 
     def test_agrees_with_sherman(self):
-        r, v, d = random_system(7, 50, 8)
+        r, v, d = verify.random_system(make_rng(7), 50, 8)
         z_chol = solve_cholesky(r, v, d).z
         z_sher = solve_sherman(r, v, d).z
         assert np.abs(z_chol - z_sher).max() <= 1e-10
@@ -71,13 +63,13 @@ class TestSvdSolver:
         assert np.abs(z[:, 0] - dense).max() <= 1e-12
 
     def test_agrees_with_sherman(self):
-        r, v, d = random_system(9, 50, 8)
+        r, v, d = verify.random_system(make_rng(9), 50, 8)
         z_svd = solve_svd(r, v, d).z
         z_sher = solve_sherman(r, v, d).z
         assert np.abs(z_svd - z_sher).max() <= 1e-9
 
     def test_single_column_agrees_with_sherman(self):
-        r, v, d = random_system(12, 20, 1)
+        r, v, d = verify.random_system(make_rng(12), 20, 1)
         z_svd = solve_svd(r, v, d).z
         z_sher = solve_sherman(r, v, d).z
         assert np.abs(z_svd - z_sher).max() <= 1e-9
@@ -102,23 +94,8 @@ class TestSvdSolver:
         assert np.abs(z_thin - z_full).max() <= 1e-9 * np.abs(z_full).max()
 
 
-class TestThreeWayAgreement:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_instances(self, seed):
-        rng = make_rng(1000 + seed)
-        nobs = int(rng.integers(10, 300))
-        nens = int(rng.integers(2, 64))
-        r, v, d = random_system(2000 + seed, nobs, nens)
-        z_sher = solve_sherman(r, v, d).z
-        z_chol = solve_cholesky(r, v, d).z
-        z_svd = solve_svd(r, v, d).z
-        scale = np.abs(z_sher).max()
-        assert np.abs(z_sher - z_chol).max() <= 1e-9 * scale
-        assert np.abs(z_sher - z_svd).max() <= 1e-8 * scale
-
-
 def hostile_system(case):
-    r, v, d = random_system(11, 6, 3)
+    r, v, d = verify.random_system(make_rng(11), 6, 3)
     if case == "nan in V":
         v[2, 1] = np.nan
     elif case == "inf in D":
@@ -187,7 +164,7 @@ def test_svd_overflow_is_numerical_failure():
 
 class TestDispatch:
     def test_by_name_and_enum(self):
-        r, v, d = random_system(5, 20, 4)
+        r, v, d = verify.random_system(make_rng(5), 20, 4)
         z1 = solve_analysis("sherman", r, v, d).z
         z2 = solve_analysis(SolverChoice.CHOLESKY, r, v, d).z
         z3 = solve_analysis("svd", r, v, d).z
@@ -203,11 +180,11 @@ class TestDispatch:
             return solve_sherman(r, v, d, count_ops=count_ops)
 
         monkeypatch.setattr(solvers, "solve_sherman", spy)
-        r, v, d = random_system(6, 30, 4)
+        r, v, d = verify.random_system(make_rng(6), 30, 4)
         solve_analysis("sherman", r, v, d)
         assert seen == [False]
 
     def test_unknown_solver(self):
-        r, v, d = random_system(5, 4, 2)
+        r, v, d = verify.random_system(make_rng(5), 4, 2)
         with pytest.raises(ValueError):
             solve_analysis("qr", r, v, d)
