@@ -6,10 +6,11 @@ All three solvers produce the solution Z of the observation-space system
 
 where V carries the 1/sqrt(Nens-1) deviation scaling, and all three check
 their input with :func:`enkfkit.sherman.validate_system` before the clock
-starts. The Cholesky path materializes the Nobs x Nobs matrix on purpose
-(it is the dense baseline whose cost profile the cheaper solvers are
-measured against). The SVD path works in whitened coordinates with a thin
-factorization.
+starts. The Cholesky path forms the Nobs x Nobs matrix on purpose (it is
+the dense baseline whose cost profile the cheaper solvers are measured
+against), but only its lower triangle, in rectangular full packed storage
+(:mod:`enkfkit.linalg`): Nobs(Nobs+1)/2 doubles. The SVD path works in
+whitened coordinates with a thin factorization.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ class SolverChoice(str, Enum):
 def solve_cholesky(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     """Solve the analysis system by dense Cholesky factorization.
 
-    Forms the lower triangle of W = diag(r) + V V' (O(Nobs^2) memory),
-    factors it in place, and back-substitutes all Nens right-hand sides
-    with one LAPACK call, on more than one BLAS thread from
+    Forms the lower triangle of W = diag(r) + V V' in RFP storage
+    (Nobs(Nobs+1)/2 doubles, ``dsfrk``), factors it in place (``dpftrf``),
+    and back-substitutes all Nens right-hand sides with one LAPACK call
+    (``dpftrs``), on more than one BLAS thread from
     ``threads.PARALLEL_ORDER`` observations up
     (:func:`enkfkit.threads.factorization_threads`). ``v`` must carry the
     1/sqrt(Nens-1) scaling.
@@ -54,9 +56,9 @@ def solve_cholesky(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
         w = sym_rank_k_update(v, r)
         try:
             lower = cholesky_factor(w, overwrite_a=True)
-        except ValueError as exc:  # W is square and built from finite input
+        except ValueError as exc:  # W is an RFP array built from finite input
             raise NumericalFailureError(f"R + V V' overflowed: {exc}") from exc
-        z, _ = lapack.dpotrs(lower, d, lower=1)
+        z, _ = lapack.dpftrs(r.shape[0], lower, d, transr="N", uplo="L")
     return SolverResult(z=z, seconds=time.perf_counter() - t0)
 
 
@@ -80,6 +82,7 @@ def solve_svd(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     # whitened straight into the Fortran order dgesdd factors in place
     b = np.divide(v, root_r[:, None], out=np.empty(v.shape, order="F"))
     u, s, _ = svd_thin(b, overwrite_a=True)
+    del b  # destroyed by dgesdd; freed before Z and the products with U
     if not np.isfinite(s).all():
         raise NumericalFailureError(
             f"diag(r)^(-1/2) V overflowed: singular values {s}")

@@ -1,8 +1,9 @@
 """The BLAS thread budget of every OpenBLAS copy in the process.
 
 numpy and scipy each ship their own OpenBLAS. The sweep's products and
-the factorizations (``dsyrk``/``dpotrf``/``dpotrs`` and the SVD's
-``dgesdd``) run on scipy's copy; numpy's copy keeps the Nens x Nens
+the factorizations (``dpotrf``/``dpotrs``, the Cholesky path's
+``dsfrk``/``dpftrf``/``dpftrs`` and the SVD's ``dgesdd``) run on scipy's
+copy; numpy's copy keeps the Nens x Nens
 products and the SVD path's two products with U. The default budget gives
 every copy one thread, so no idle workers of one copy spin against the
 other. The one exception is chosen from the problem size: a dense Cholesky

@@ -21,6 +21,7 @@ their own instance counts and seeds, rather than restate them:
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .enkf import SelectionOperator, ObservationBatch, analysis_step, member_deviations
 from .linalg import sym_rank_k_update
@@ -199,19 +200,21 @@ def check_kalman_oracle(instances: int = 20, seed: int = 404) -> bool:
 
 
 def check_rank_k_update(seed: int = 505) -> bool:
-    """BLAS-assembled W equals the naive triple-loop product on the lower
-    triangle, the one it fills, and its strict upper triangle is zero."""
+    """The RFP array LAPACK assembles, unpacked, equals the naive
+    triple-loop product on the lower triangle, the one it holds, and has a
+    zero strict upper triangle."""
     rng = make_rng(seed)
     nobs, nens = 15, 4
     r = rng.uniform(0.5, 2.0, size=nobs)
     v = rng.standard_normal((nobs, nens))
-    w = sym_rank_k_update(v, r)
+    w, info = lapack.dtfttr(nobs, sym_rank_k_update(v, r), transr="N", uplo="L")
     naive = np.zeros((nobs, nobs))
     for i in range(nobs):
         for j in range(nobs):
             naive[i, j] = sum(v[i, k] * v[j, k] for k in range(nens))
     naive += np.diag(r)
-    return bool(np.abs(np.tril(w - naive)).max() <= 1e-13 * np.abs(naive).max()
+    return bool(info == 0
+                and np.abs(np.tril(w - naive)).max() <= 1e-13 * np.abs(naive).max()
                 and not np.triu(w, 1).any())
 
 

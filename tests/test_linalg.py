@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from enkfkit import linalg
 from enkfkit.errors import NotPositiveDefiniteError, NumericalFailureError
@@ -7,20 +10,44 @@ from enkfkit.linalg import cholesky_factor, svd_thin, sym_rank_k_update
 from enkfkit.rng import gaussian_matrix, make_rng
 
 
+def pack(a):
+    """The RFP array of the lower triangle of ``a``."""
+    arf, info = lapack.dtrttf(np.asfortranarray(a, dtype=float),
+                              transr="N", uplo="L")
+    assert info == 0
+    return arf
+
+
+def unpack(arf):
+    """The n x n matrix whose lower triangle the RFP array ``arf`` holds."""
+    n = (math.isqrt(8 * arf.size + 1) - 1) // 2
+    a, info = lapack.dtfttr(n, arf, transr="N", uplo="L")
+    assert info == 0
+    return a
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_rfp_diagonal_matches_dtrttf(n):
+    diag = np.arange(1.0, n + 1)
+    arf = pack(np.diag(diag))
+    assert np.array_equal(arf[linalg.rfp_diagonal(n)], diag)
+    assert np.count_nonzero(arf) == n
+
+
 class TestCholesky:
     def test_identity(self):
-        lower = cholesky_factor(np.eye(3))
-        assert np.array_equal(lower, np.eye(3))
+        lower = cholesky_factor(pack(np.eye(3)))
+        assert np.array_equal(unpack(lower), np.eye(3))
 
     def test_hand_factorization(self):
         # [[4,2],[2,5]] factors as [[2,0],[1,2]]: check L L' by hand
-        lower = cholesky_factor(np.array([[4.0, 2.0], [2.0, 5.0]]))
+        lower = unpack(cholesky_factor(pack([[4.0, 2.0], [2.0, 5.0]])))
         assert np.allclose(lower, [[2.0, 0.0], [1.0, 2.0]], atol=1e-14)
         assert np.allclose(lower @ lower.T, [[4.0, 2.0], [2.0, 5.0]], atol=1e-14)
 
     def test_indefinite_reports_pivot(self):
         with pytest.raises(NotPositiveDefiniteError) as info:
-            cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            cholesky_factor(pack([[1.0, 2.0], [2.0, 1.0]]))
         assert info.value.pivot == 1
 
     @pytest.mark.parametrize("n", [5, 60, 500])
@@ -28,30 +55,33 @@ class TestCholesky:
         rng = make_rng(900 + n)
         a = rng.standard_normal((n, n))
         spd = a @ a.T + n * np.eye(n)
-        lower = cholesky_factor(spd)
+        lower = unpack(cholesky_factor(pack(spd)))
         norm = np.abs(spd).sum(axis=1).max()
         assert np.abs(lower @ lower.T - spd).max() <= 1e-12 * norm
 
     def test_reads_lower_triangle_only(self):
-        # the strict upper triangle is never read, so junk there is ignored
-        lower = cholesky_factor(np.array([[4.0, 99.0], [2.0, 5.0]]))
-        assert np.array_equal(lower, cholesky_factor(np.array([[4.0, 2.0], [2.0, 5.0]])))
+        # RFP holds no strict upper triangle, so junk there never reaches
+        # the factorization, and the factor has none either
+        lower = unpack(cholesky_factor(pack([[4.0, 99.0], [2.0, 5.0]])))
+        assert np.array_equal(lower, unpack(cholesky_factor(pack([[4.0, 2.0], [2.0, 5.0]]))))
         assert lower[0, 1] == 0.0
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            cholesky_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            cholesky_factor(pack([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):  # no RFP array has length 2
+            cholesky_factor(np.ones(2))
 
     def test_input_kept_unless_overwrite_a(self):
-        spd = np.asfortranarray([[4.0, 2.0], [2.0, 5.0]])
+        spd = pack([[4.0, 2.0], [2.0, 5.0]])
         kept = spd.copy()
         lower = cholesky_factor(spd)
         assert np.array_equal(spd, kept) and not np.shares_memory(lower, spd)
-        bad = np.asfortranarray([[1.0, 2.0], [2.0, 1.0]])
+        bad = pack([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError):
             cholesky_factor(bad)
-        assert np.array_equal(bad, [[1.0, 2.0], [2.0, 1.0]])
-        # a Fortran-ordered float64 matrix the caller owns is factored in place
+        assert np.array_equal(bad, pack([[1.0, 2.0], [2.0, 1.0]]))
+        # a contiguous float64 array the caller owns is factored in place
         assert cholesky_factor(spd, overwrite_a=True) is spd
         assert np.array_equal(spd, lower)
 
@@ -110,12 +140,12 @@ class TestRankKUpdate:
     def test_zero_v_gives_diagonal(self):
         r = np.array([2.0, 3.0, 4.0])
         w = sym_rank_k_update(np.zeros((3, 2)), r)
-        assert np.array_equal(w, np.diag(r))
+        assert w.shape == (6,) and np.array_equal(unpack(w), np.diag(r))
 
     def test_unit_column(self):
         v = np.array([[1.0], [0.0], [0.0]])
         w = sym_rank_k_update(v, np.ones(3))
-        assert np.array_equal(w, np.diag([2.0, 1.0, 1.0]))
+        assert np.array_equal(unpack(w), np.diag([2.0, 1.0, 1.0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,30 @@ class TestCholeskySolver:
         v = 1e200 * np.array([[1.0], [1.0], [0.0]])
         with pytest.raises(NumericalFailureError, match="overflowed"):
             solve_cholesky(np.ones(3), v, np.ones((3, 1)))
+
+
+def traced_peak(solve, nobs, nens):
+    """Peak bytes numpy allocates in one solve, after a warm-up solve."""
+    r, v, d = verify.random_system(make_rng(3), nobs, nens)
+    solve(r, v, d)
+    tracemalloc.start()
+    try:
+        solve(r, v, d)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cholesky_holds_one_packed_triangle():
+    # the RFP lower triangle is 0.5 of a dense W; a dense W alone is 1.0
+    nobs = 1200
+    assert traced_peak(solve_cholesky, nobs, 8) <= 0.6 * 8 * nobs ** 2
+
+
+def test_svd_frees_the_whitened_factor():
+    # U, Z and one product with U: 3 Nobs x Nens arrays, not 4 with B
+    nobs, nens = 20000, 16
+    assert traced_peak(solve_svd, nobs, nens) <= 3.5 * 8 * nobs * nens
 
 
 class TestSvdSolver:
@@ -183,6 +209,24 @@ class TestDispatch:
         r, v, d = verify.random_system(make_rng(6), 30, 4)
         solve_analysis("sherman", r, v, d)
         assert seen == [False]
+
+    @pytest.mark.parametrize("solver, want", [
+        ("cholesky", {"sym_rank_k_update": 1, "cholesky_factor": 1, "svd_thin": 0}),
+        ("svd", {"sym_rank_k_update": 0, "cholesky_factor": 0, "svd_thin": 1}),
+    ])
+    def test_kernels_go_through_module_globals(self, monkeypatch, solver, want):
+        # a benchmark tracer times the kernels by wrapping these attributes
+        # of enkfkit.solvers; a solve that bypasses them is not measured
+        seen = dict.fromkeys(want, 0)
+        for name in seen:
+            def spy(*args, _name=name, _kernel=getattr(solvers, name), **kwargs):
+                seen[_name] += 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(solvers, name, spy)
+        r, v, d = verify.random_system(make_rng(6), 30, 4)
+        solve_analysis(solver, r, v, d)
+        assert seen == want
 
     def test_unknown_solver(self):
         r, v, d = verify.random_system(make_rng(5), 4, 2)
