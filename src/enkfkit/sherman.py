@@ -57,6 +57,7 @@ from scipy.linalg.blas import ddot, dgemm, dgemv, dger
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import SingularUpdateError
+from .linalg import all_finite
 
 # Guard for |1 + v'u|. The analysis matrix is SPD for valid inputs, so a
 # denominator this small, or an overflowed one, signals corrupted input.
@@ -117,9 +118,9 @@ def validate_system(r, v, d):
         )
     if min(v.shape) < 1:
         raise ValueError("need at least one observation and one ensemble column")
-    if np.any(r <= 0):
+    if not np.all(r > 0):  # also false for a NaN
         raise ValueError("observation variances must be positive")
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d)) and np.all(np.isfinite(r))):
+    if not (r.max() < np.inf and all_finite(v) and all_finite(d)):
         raise ValueError("inputs contain non-finite entries")
     return r, v, d
 

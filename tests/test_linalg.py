@@ -92,8 +92,10 @@ class TestSvd:
         assert np.allclose(s, [3.0, 2.0, 1.0])
 
     def test_zero_matrix(self):
-        _, s, _ = svd_thin(np.zeros((4, 2)))
-        assert np.array_equal(s, [0.0, 0.0])
+        for shape in [(4, 2), (1200, 16)]:  # dgesdd alone, and the QR path
+            u, s, _ = svd_thin(np.zeros(shape))
+            assert np.array_equal(s, np.zeros(shape[1]))
+            assert np.abs(u.T @ u - np.eye(shape[1])).max() <= 1e-15
 
     def test_reconstruction_and_orthogonality(self):
         rng = make_rng(11)
@@ -126,14 +128,116 @@ class TestSvd:
             return np.zeros((a.shape[0], k)), np.zeros(k), np.zeros((k, a.shape[1])), 3
 
         monkeypatch.setattr(linalg.lapack, "dgesdd", failing)
-        with pytest.raises(NumericalFailureError, match="converge"):
-            svd_thin(np.eye(3))
+        # dgesdd alone, and after the QR factorization
+        for a in [np.eye(3), make_rng(25).standard_normal((1000, 20))]:
+            with pytest.raises(NumericalFailureError, match="converge"):
+                svd_thin(a)
 
     @pytest.mark.parametrize("a", [np.zeros((3, 0)), np.zeros(3),
                                    np.array([[np.nan, 0.0], [0.0, 1.0]])])
     def test_rejects_bad_input(self, a):
         with pytest.raises(ValueError):
             svd_thin(a)
+
+
+def corners(shape):
+    """The first, a middle and the last entry of an array of ``shape``."""
+    return [(0,) * len(shape), tuple(n // 2 for n in shape),
+            tuple(n - 1 for n in shape)]
+
+
+class TestAllFinite:
+    # all_finite reads a BLAS product with zeros; a kernel that skipped
+    # the zero entries of x would miss a NaN or an inf
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (31, 17), (2000, 64)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finds_nonfinite_anywhere(self, order, shape, bad):
+        a = np.asarray(make_rng(20).standard_normal(shape), order=order)
+        a[0, -1] = 1e308  # 0 * a large finite entry is still 0
+        assert linalg.all_finite(a)
+        for index in corners(shape):
+            b = a.copy(order=order)
+            b[index] = bad
+            assert not linalg.all_finite(b), index
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cholesky_rejects_nonfinite_anywhere_in_rfp(self, n, bad):
+        spd = pack(np.eye(n) * 2.0)
+        for index in corners(spd.shape):
+            a = spd.copy()
+            a[index] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                cholesky_factor(a)
+
+
+def assert_svd_agrees(a, u, s, v):
+    """(u, s, v) is a thin SVD of ``a`` whose singular values match
+    ``dgesdd``'s to 1e-13 of the largest, with a C-ordered orthonormal U."""
+    _, want, _, info = lapack.dgesdd(a, full_matrices=0)
+    assert info == 0
+    k = min(a.shape)
+    assert u.shape == (a.shape[0], k) and u.flags.c_contiguous
+    assert np.abs(s - want).max() <= 1e-13 * want[0]
+    assert np.abs(u @ np.diag(s) @ v.T - a).max() <= 1e-13 * np.linalg.norm(a)
+    assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-13
+    assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-13
+
+
+class TestSvdQrPath:
+    # shapes above the cut: at least twice as many rows as columns and
+    # linalg.QR_MIN_SIZE entries
+    SHAPES = [(820, 20), (2048, 8), (500, 200), (4000, 64)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_agrees_with_dgesdd(self, shape):
+        a = make_rng(21).standard_normal(shape)
+        kept = a.copy()
+        assert_svd_agrees(a, *svd_thin(a))
+        assert np.array_equal(a, kept)
+
+    def test_overwrite_a_factors_in_place(self):
+        a = np.asfortranarray(make_rng(22).standard_normal((1000, 32)))
+        kept = a.copy()
+        u, s, v = svd_thin(a, overwrite_a=True)
+        assert not np.array_equal(a, kept)  # the QR factors went into a
+        assert_svd_agrees(kept, u, s, v)
+
+    def test_zero_and_duplicated_columns(self):
+        a = make_rng(23).standard_normal((1500, 24))
+        a[:, [3, 17]] = 0.0
+        a[:, [5, 9, 20]] = a[:, [1, 1, 2]]
+        u, s, v = svd_thin(a)
+        assert_svd_agrees(a, u, s, v)
+        assert np.all(s[-5:] <= 1e-13 * s[0]) and s[-6] > 1e-3 * s[0]
+
+    @pytest.mark.parametrize("index", corners((1000, 20)))
+    def test_nan_raises_inf_gives_nan(self, index):
+        a = make_rng(24).standard_normal((1000, 20))
+        a[index] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            svd_thin(a)
+        a[index] = -np.inf
+        u, s, v = svd_thin(a)
+        assert s.shape == (20,) and np.isnan(s).all()
+
+    @pytest.mark.parametrize("shape, qr", [
+        ((40, 20), False), ((480, 20), False), ((1022, 16), False),
+        ((1024, 16), True), ((181, 91), False), ((182, 91), True),
+        ((128, 128), False), ((20, 1000), False), ((16384, 1), True),
+    ])
+    def test_each_side_of_the_cut_takes_its_path(self, monkeypatch, shape, qr):
+        calls, dgeqrt = [], lapack.dgeqrt
+
+        def spy(*args, **kwargs):
+            calls.append(args[1].shape)
+            return dgeqrt(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.lapack, "dgeqrt", spy)
+        a = make_rng(26).standard_normal(shape)
+        assert_svd_agrees(a, *svd_thin(a))
+        assert calls == ([shape] if qr else [])
 
 
 class TestRankKUpdate:

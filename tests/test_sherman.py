@@ -158,6 +158,14 @@ def backward_error(r, v, d, z):
     return np.linalg.norm(residual) / scale
 
 
+def assert_small_backward_error(r, v, d, solve):
+    """The backward error of ``solve``'s Z is at most 1e-4, or 10 eps g
+    where the amplification g = |V|_2^2 / min r is larger."""
+    amplification = np.linalg.norm(v, 2) ** 2 / r.min()
+    bound = max(1e-4, 10 * np.finfo(float).eps * amplification)
+    assert backward_error(r, v, d, solve(r, v, d).z) <= bound, solve.__name__
+
+
 class TestHostileInputs:
     # r over twelve decades, V over six, rank-deficient V, fewer
     # observations than members and the smallest ensemble, each draw
@@ -183,11 +191,26 @@ class TestHostileInputs:
                                   n_dup, n_zero):
         r, v, d = hostile_system(seed, nobs, nens, r_exps, v_exp, n_dup,
                                  n_zero)
-        amplification = np.linalg.norm(v, 2) ** 2 / r.min()
-        bound = max(1e-4, 10 * np.finfo(float).eps * amplification)
         for solve in (solve_sherman, solve_cholesky, solve_svd):
-            z = solve(r, v, d).z
-            assert backward_error(r, v, d, z) <= bound, solve.__name__
+            assert_small_backward_error(r, v, d, solve)
+
+    # the same bound where solve_svd takes svd_thin's QR path: at least
+    # twice as many rows as columns and linalg.QR_MIN_SIZE entries
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(seed=st.integers(0, 2**32 - 1), nobs=st.integers(2100, 4000),
+           nens=st.integers(8, 40),
+           r_exps=st.tuples(st.floats(-6, 6), st.floats(-6, 6)),
+           v_exp=st.floats(-3, 3), n_dup=st.integers(0, 4),
+           n_zero=st.integers(0, 4))
+    @example(seed=3, nobs=2100, nens=40, r_exps=(-6, -6), v_exp=3, n_dup=4,
+             n_zero=4)
+    @example(seed=4, nobs=4000, nens=8, r_exps=(-6, 6), v_exp=-3, n_dup=1,
+             n_zero=0)
+    def test_small_backward_error_svd_qr_path(self, seed, nobs, nens, r_exps,
+                                              v_exp, n_dup, n_zero):
+        r, v, d = hostile_system(seed, nobs, nens, r_exps, v_exp, n_dup,
+                                 n_zero)
+        assert_small_backward_error(r, v, d, solve_svd)
 
 
 class TestRecursive:

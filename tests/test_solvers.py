@@ -56,9 +56,10 @@ def traced_peak(solve, nobs, nens):
 
 
 def test_cholesky_holds_one_packed_triangle():
-    # the RFP lower triangle is 0.5 of a dense W; a dense W alone is 1.0
+    # the RFP lower triangle is 0.5 of a dense W; a dense W alone is 1.0,
+    # and a boolean finiteness mask of the triangle would add 0.0625
     nobs = 1200
-    assert traced_peak(solve_cholesky, nobs, 8) <= 0.6 * 8 * nobs ** 2
+    assert traced_peak(solve_cholesky, nobs, 8) <= 0.55 * 8 * nobs ** 2
 
 
 def test_svd_frees_the_whitened_factor():
@@ -89,10 +90,12 @@ class TestSvdSolver:
         assert np.abs(z[:, 0] - dense).max() <= 1e-12
 
     def test_agrees_with_sherman(self):
-        r, v, d = verify.random_system(make_rng(9), 50, 8)
-        z_svd = solve_svd(r, v, d).z
-        z_sher = solve_sherman(r, v, d).z
-        assert np.abs(z_svd - z_sher).max() <= 1e-9
+        # dgesdd alone, and svd_thin's QR path
+        for seed, nobs, nens in [(9, 50, 8), (14, 4000, 32)]:
+            r, v, d = verify.random_system(make_rng(seed), nobs, nens)
+            z_svd = solve_svd(r, v, d).z
+            z_sher = solve_sherman(r, v, d).z
+            assert np.abs(z_svd - z_sher).max() <= 1e-9
 
     def test_single_column_agrees_with_sherman(self):
         r, v, d = verify.random_system(make_rng(12), 20, 1)
@@ -182,10 +185,12 @@ def test_overflow_raises_arithmetic_error(solver, dispatch):
 
 def test_svd_overflow_is_numerical_failure():
     # dgesdd reports success on the inf matrix but returns s = [nan],
-    # which made all of Z NaN
-    with pytest.raises(NumericalFailureError, match="singular values"), \
-            np.errstate(over="ignore"):
-        solve_svd(*overflow_system())
+    # which made all of Z NaN; svd_thin's QR path (2000x16) returns the same
+    r, v, d = verify.random_system(make_rng(13), 2000, 16)
+    for system in [overflow_system(), (1e-300 * r, 1e200 * v, d)]:
+        with pytest.raises(NumericalFailureError, match="singular values"), \
+                np.errstate(over="ignore"):
+            solve_svd(*system)
 
 
 class TestDispatch:
