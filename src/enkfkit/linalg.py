@@ -9,10 +9,13 @@ factors satisfy A = U diag(s) V', and one finiteness check for all of them.
 A tall matrix is factored by Chan's R-SVD (ACM TOMS 1982): a QR
 factorization first, with the recursive Level-3 panels of ``dgeqrt``
 (Elmroth and Gustavson, IBM J. Res. Dev. 2000), then ``dgesdd`` on the
-small triangle R, and Q applied to its left factor by ``dgemqrt``.
-``dgesdd`` takes the same route itself for tall input, but its
-``dgeqrf`` factors each panel with Level-2 kernels, which at 20000x64 took
-about 33 ms of its 76 against 11 ms for ``dgeqrt``.
+small triangle R, and Q applied to its left factor by ``dgemqrt`` only
+when the caller asks for U (``compute_u``): the ensemble-space SVD solve
+needs only the singular values and the right factor, and at 20000x64
+``dgemqrt`` and its array took 10 of the 29 ms. ``dgesdd`` takes the
+same route itself for tall input, but its ``dgeqrf`` factors each panel
+with Level-2 kernels, which at 20000x64 took about 33 ms of its 76
+against 11 ms for ``dgeqrt``.
 
 The triangle is stored in rectangular full packed (RFP) format
 (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 2010; LAPACK's
@@ -99,14 +102,23 @@ def cholesky_factor(a: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
     return c
 
 
-def svd_thin(a: np.ndarray, *, overwrite_a: bool = False):
+def qr_path(rows: int, cols: int) -> bool:
+    """Whether :func:`svd_thin` factors a rows x cols matrix by a QR first:
+    at least twice as many rows as columns and ``QR_MIN_SIZE`` entries."""
+    return rows >= 2 * cols and rows * cols >= QR_MIN_SIZE
+
+
+def svd_thin(a: np.ndarray, *, overwrite_a: bool = False,
+             compute_u: bool = True):
     """Economy singular value decomposition A = U diag(s) V', with U of
     shape rows x min(rows, cols), on scipy's BLAS.
 
-    A matrix of at least ``QR_MIN_SIZE`` entries with at least twice as
-    many rows as columns is factored as A = QR first (``dgeqrt``), R =
-    U_R diag(s) V' (``dgesdd``), and U' = [U_R' 0] Q' (``dgemqrt``):
-    Chan's R-SVD. Any other matrix goes to ``dgesdd`` directly.
+    A matrix on the :func:`qr_path` is factored as A = QR first
+    (``dgeqrt``), then R = U_R diag(s) V' (``dgesdd``), and, only if
+    ``compute_u``, U' = [U_R' 0] Q' (``dgemqrt``): Chan's R-SVD. Any other
+    matrix goes to ``dgesdd`` directly, which forms U whether or not it is
+    asked for. With ``compute_u=False`` (after numpy's ``compute_uv``)
+    ``u`` is None and ``s`` and ``v`` are the same bits as with it.
 
     ``a`` is left as it was unless ``overwrite_a`` is set; then a
     Fortran-ordered float64 ``a`` is factored in place (and destroyed), so
@@ -133,13 +145,16 @@ def svd_thin(a: np.ndarray, *, overwrite_a: bool = False):
     if not all_finite(a):
         if np.isnan(a).any():
             raise ValueError("matrix contains NaN")
-        return np.full((m, k), np.nan), np.full(k, np.nan), np.full((n, k), np.nan)
-    if m < 2 * n or m * n < QR_MIN_SIZE:
+        u = np.full((m, k), np.nan) if compute_u else None
+        return u, np.full(k, np.nan), np.full((n, k), np.nan)
+    if not qr_path(m, n):
         u, s, vt = _dgesdd(a, overwrite_a)
-        return np.ascontiguousarray(u), s, vt.T
+        return np.ascontiguousarray(u) if compute_u else None, s, vt.T
     # dgeqrt and dgemqrt report only argument errors, and the shapes are theirs
     qr, t, _ = lapack.dgeqrt(min(QR_BLOCK, n), a, overwrite_a=overwrite_a)
     u_r, s, vt = _dgesdd(np.triu(qr[:n]), True)
+    if not compute_u:
+        return None, s, vt.T
     # U' = [U_R' 0] Q', an n x m Fortran array: U in C order. Zeroed here,
     # not by np.zeros, whose pages dgemqrt then faulted in with about
     # twice the minor faults (8000x16)

@@ -30,7 +30,10 @@ the transposes of V, P and R^{-1} D as Fortran-ordered views without a
 copy. P goes into a C-ordered buffer that each thread reuses while the
 shape stays the same (a fresh Nobs x Nens array per call would come back
 as zero-filled pages above glibc's mmap threshold), and R^{-1} D into a
-fresh array that becomes Z in place. The squared diagonal of the factor
+fresh array that becomes Z in place. These Nobs-sized steps
+(:func:`woodbury_terms`, :func:`subtract_correction`) are shared with the
+tall SVD solve, which replaces C^{-1} by W diag(1/(1+s^2)) W' from the
+SVD of the whitened V. The squared diagonal of the factor
 holds the sweep's denominators. When the factorization stops or a
 pivot fails the guard, the solve falls back to the literal sweep, which
 forms every denominator from Nobs-space vectors: it raises at the level
@@ -138,20 +141,36 @@ def check_denominator(denom: float, level: int) -> None:
         raise SingularUpdateError(level, denom)
 
 
-def _sweep(r, v, d):
-    """All Nens levels in ensemble space (the production path); returns z."""
-    nens = v.shape[1]
-    # one C-ordered V whatever the caller's layout, so Z does not depend on it
-    v = np.ascontiguousarray(v)
+def woodbury_terms(r, v, d):
+    """(P, R^{-1} D, V' R^{-1} D) with P = R^{-1} V, for a C-ordered ``v``:
+    the Nobs-sized terms of Z = R^{-1} D - P M V' R^{-1} D, where M is
+    C^{-1} here and W diag(1/(1+s^2)) W' in the SVD solve. P is this
+    thread's buffer, overwritten by the next call of the same shape;
+    R^{-1} D is fresh, and :func:`subtract_correction` makes it Z."""
     # this thread's P buffer, kept for the last shape only
     p = getattr(_local, "p", None)
     if p is None or p.shape != v.shape:
         p = _local.p = np.empty(v.shape)
     np.divide(v, r[:, None], out=p)
     z = np.divide(d, r[:, None], out=np.empty(d.shape))
+    return p, z, dgemm(1.0, v.T, z.T, trans_b=1)
+
+
+def subtract_correction(z, p, y):
+    """Z -= P Y in place for a C-ordered ``z`` and an Nens x Nens ``y``,
+    written through the transposed views as Z' -= Y' P'; returns z."""
+    dgemm(-1.0, y, p.T, beta=1.0, c=z.T, trans_a=1, overwrite_c=1)
+    return z
+
+
+def _sweep(r, v, d):
+    """All Nens levels in ensemble space (the production path); returns z."""
+    nens = v.shape[1]
+    # one C-ordered V whatever the caller's layout, so Z does not depend on it
+    v = np.ascontiguousarray(v)
+    p, z, s = woodbury_terms(r, v, d)
     c = dgemm(1.0, v.T, p.T, trans_b=1)
     c.flat[::nens + 1] += 1.0
-    s = dgemm(1.0, v.T, z.T, trans_b=1)
     c, info = dpotrf(c, lower=1, overwrite_a=1)
     # the squared diagonal of the factor holds the sweep's denominators;
     # when one fails the guard, or the factorization stops, the literal
@@ -160,9 +179,7 @@ def _sweep(r, v, d):
     if info > 0 or not usable_pivots(pivots):
         return _sweep_reference(r, v, d)[0]
     s, _ = dpotrs(c, s, lower=1, overwrite_b=1)
-    # Z' -= S' P', written in place through the transposed view
-    dgemm(-1.0, s, p.T, beta=1.0, c=z.T, trans_a=1, overwrite_c=1)
-    return z
+    return subtract_correction(z, p, s)
 
 
 def _sweep_reference(r, v, d):

@@ -113,15 +113,29 @@ def _recurse(r, v, x, k, tag, log):
     return f - g * (float(vk @ f) / denom)
 
 
-def check_solver_agreement(instances: int = 100, seed: int = 101) -> bool:
-    """On systems of log-uniform size (Nobs in [10, 500], Nens in [2, 64])
-    Cholesky agrees with Sherman to 1e-9 and SVD to 1e-8, relative to the
-    largest entry of Z."""
-    rng = make_rng(seed)
+# (Nobs, Nens) of the ensemble-deviation systems check_solver_agreement
+# always adds: the random sizes reach svd_thin's QR path only by chance.
+AGREEMENT_TALL_SHAPES = ((1024, 16), (2000, 40), (2500, 64))
+
+
+def _agreement_systems(rng, instances):
+    """The systems of check_solver_agreement, drawn one at a time."""
     for _ in range(instances):
         nobs = _log_uniform(rng, 10, 500)
         nens = _log_uniform(rng, 2, 64)
-        r, v, d = random_system(rng, nobs, nens)
+        yield random_system(rng, nobs, nens)
+    for nobs, nens in AGREEMENT_TALL_SHAPES:
+        r, _, d = random_system(rng, nobs, nens)
+        yield r, member_deviations(rng.standard_normal((nobs, nens))), d
+
+
+def check_solver_agreement(instances: int = 100, seed: int = 101) -> bool:
+    """On systems of log-uniform size (Nobs in [10, 500], Nens in [2, 64]),
+    and on one system of each of AGREEMENT_TALL_SHAPES whose V holds the
+    deviations of a random ensemble (so one singular value is zero),
+    Cholesky agrees with Sherman to 1e-9 and SVD to 1e-8, relative to the
+    largest entry of Z."""
+    for r, v, d in _agreement_systems(make_rng(seed), instances):
         z_sher = solve_sherman(r, v, d).z
         z_chol = solve_cholesky(r, v, d).z
         z_svd = solve_svd(r, v, d).z

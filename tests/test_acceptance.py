@@ -14,6 +14,7 @@ import numpy as np
 
 from enkfkit import verify
 from enkfkit.experiment import ExperimentConfig, emit_csv, load_config, run_experiment
+from enkfkit.linalg import qr_path
 from enkfkit.rng import make_rng
 from enkfkit.scaling import run_scaling_study
 from enkfkit.sherman import solve_sherman
@@ -27,9 +28,12 @@ def _report(label: str, started: float, limit_s: float):
 
 
 def test_criterion_1_solver_agreement():
-    """100 random systems: Cholesky within 1e-9 and SVD within 1e-8 of
-    Sherman, relative to the largest entry of Z."""
+    """100 random systems and the fixed tall deviation systems: Cholesky
+    within 1e-9 and SVD within 1e-8 of Sherman, relative to the largest
+    entry of Z."""
     started = time.perf_counter()
+    # the fixed tall systems reach the SVD solve's QR path
+    assert all(qr_path(*shape) for shape in verify.AGREEMENT_TALL_SHAPES)
     assert verify.check_solver_agreement(instances=100, seed=0xA1)
     _report("criterion 1: solver agreement on 100 random systems", started, 60)
 

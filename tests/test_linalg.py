@@ -221,6 +221,8 @@ class TestSvdQrPath:
         a[index] = -np.inf
         u, s, v = svd_thin(a)
         assert s.shape == (20,) and np.isnan(s).all()
+        u, s, v = svd_thin(a, compute_u=False)
+        assert u is None and np.isnan(s).all() and np.isnan(v).all()
 
     @pytest.mark.parametrize("shape, qr", [
         ((40, 20), False), ((480, 20), False), ((1022, 16), False),
@@ -228,16 +230,24 @@ class TestSvdQrPath:
         ((128, 128), False), ((20, 1000), False), ((16384, 1), True),
     ])
     def test_each_side_of_the_cut_takes_its_path(self, monkeypatch, shape, qr):
-        calls, dgeqrt = [], lapack.dgeqrt
+        calls = []
+        for name in ["dgeqrt", "dgemqrt"]:
+            def spy(*args, _name=name, _kernel=getattr(lapack, name), **kwargs):
+                calls.append(_name)
+                return _kernel(*args, **kwargs)
 
-        def spy(*args, **kwargs):
-            calls.append(args[1].shape)
-            return dgeqrt(*args, **kwargs)
-
-        monkeypatch.setattr(linalg.lapack, "dgeqrt", spy)
+            monkeypatch.setattr(linalg.lapack, name, spy)
+        assert linalg.qr_path(*shape) == qr
         a = make_rng(26).standard_normal(shape)
-        assert_svd_agrees(a, *svd_thin(a))
-        assert calls == ([shape] if qr else [])
+        u, s, v = svd_thin(a)
+        assert_svd_agrees(a, u, s, v)
+        assert calls == (["dgeqrt", "dgemqrt"] if qr else [])
+        # without U: the same bits of s and V, and no dgemqrt
+        calls.clear()
+        no_u = svd_thin(a, compute_u=False)
+        assert no_u[0] is None
+        assert np.array_equal(no_u[1], s) and np.array_equal(no_u[2], v)
+        assert calls == (["dgeqrt"] if qr else [])
 
 
 class TestRankKUpdate:

@@ -269,25 +269,32 @@ class TestWorkspace:
         assert_layout_independent(lambda *a: solve_sherman(*a).z, r, v, d)
 
     def test_returned_z_outlives_the_next_solve(self):
-        # P's buffer is reused by the next solve of the same shape; Z is not
-        z = solve_sherman(*verify.random_system(make_rng(83), 400, 12)).z
-        kept = z.copy()
-        later = solve_sherman(*verify.random_system(make_rng(84), 400, 12)).z
-        assert not np.shares_memory(z, later)
-        assert np.array_equal(z, kept)
+        # P's buffer is reused by the next solve of the same shape, also by
+        # an SVD solve on svd_thin's QR path (1500x12); Z is not
+        solve = {"sherman": solve_sherman, "svd": solve_svd}
+        for first, then in [("sherman", "sherman"), ("sherman", "svd"),
+                            ("svd", "sherman")]:
+            z = solve[first](*verify.random_system(make_rng(83), 1500, 12)).z
+            kept = z.copy()
+            later = solve[then](*verify.random_system(make_rng(84), 1500, 12)).z
+            assert not np.shares_memory(z, later)
+            assert np.array_equal(z, kept), (first, then)
 
     def test_threads_get_serial_results(self):
         # each thread has its own P buffer, so threads solving different
-        # systems of one shape at once get the serial Z; more threads than
-        # cores and a short switch interval make them interleave
+        # systems of one shape at once get the serial Z, also when each
+        # alternates with SVD solves (svd_thin's QR path, which shares the
+        # buffer); more threads than cores and a short switch interval make
+        # them interleave
         systems = [verify.random_system(make_rng(85 + i), 3000, 24)
                    for i in range(4)]
-        serial = [solve_sherman(*system).z for system in systems]
+        solves = (solve_sherman, solve_svd)
+        serial = [[solve(*system).z for solve in solves] for system in systems]
         start = threading.Barrier(len(systems), timeout=60)
 
         def solve_repeatedly(i):
             start.wait()
-            return [solve_sherman(*systems[i]).z for _ in range(20)]
+            return [solves[k % 2](*systems[i]).z for k in range(20)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -298,15 +305,18 @@ class TestWorkspace:
         finally:
             sys.setswitchinterval(interval)
         for z, zs in zip(serial, runs):
-            assert all(np.array_equal(z, other) for other in zs)
+            assert all(np.array_equal(z[k % 2], other) for k, other in enumerate(zs))
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the mmap threshold behaviour is glibc's")
-    @pytest.mark.parametrize("shapes", [
-        [(8000, 16)], [(500, 200)], [(20000, 64)],
-        [(1000, 16), (2000, 16), (4000, 16), (8000, 16)],
-    ], ids=["8000-16", "500-200", "20000-64", "ascending-16"])
-    def test_repeated_solves_do_not_page_fault(self, shapes):
+    @pytest.mark.parametrize("solver, shapes", [
+        ("sherman", [(8000, 16)]), ("sherman", [(500, 200)]),
+        ("sherman", [(20000, 64)]),
+        ("sherman", [(1000, 16), (2000, 16), (4000, 16), (8000, 16)]),
+        # svd_thin's QR path: no U, and P in the Sherman solve's buffer
+        ("svd", [(8000, 16), (20000, 64)]),
+    ], ids=["8000-16", "500-200", "20000-64", "ascending-16", "svd-tall"])
+    def test_repeated_solves_do_not_page_fault(self, solver, shapes):
         # glibc serves allocations above its mmap threshold with fresh,
         # zero-filled pages; a repeated solve must reuse heap memory
         # instead, also when the row count grows from solve to solve as in
@@ -315,16 +325,16 @@ class TestWorkspace:
         script = f"""
 import resource
 import numpy as np
-from enkfkit.sherman import solve_sherman
+from enkfkit.solvers import solve_analysis
 rng = np.random.default_rng(82)
 for nobs, nens in {shapes}:
     r = rng.uniform(0.5, 2.0, nobs)
     v, d = rng.standard_normal((2, nobs, nens))
     for _ in range(3):
-        solve_sherman(r, v, d)
+        solve_analysis({solver!r}, r, v, d)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(10):
-        solve_sherman(r, v, d)
+        solve_analysis({solver!r}, r, v, d)
     print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
 """
         src = str(Path(enkfkit.__file__).parents[1])

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from enkfkit import solvers, verify
+from enkfkit import linalg, solvers, verify
+from enkfkit.enkf import member_deviations
 from enkfkit.errors import NotPositiveDefiniteError, NumericalFailureError
 from enkfkit.rng import make_rng
 from enkfkit.solvers import SolverChoice, solve_analysis, solve_cholesky, solve_svd
@@ -63,9 +64,10 @@ def test_cholesky_holds_one_packed_triangle():
 
 
 def test_svd_frees_the_whitened_factor():
-    # U, Z and one product with U: 3 Nobs x Nens arrays, not 4 with B
+    # svd_thin's QR path (20000x16) forms no U, and P is the thread's
+    # buffer from the warm-up: B, freed before Z, and then Z alone
     nobs, nens = 20000, 16
-    assert traced_peak(solve_svd, nobs, nens) <= 3.5 * 8 * nobs * nens
+    assert traced_peak(solve_svd, nobs, nens) <= 1.25 * 8 * nobs * nens
 
 
 class TestSvdSolver:
@@ -96,6 +98,27 @@ class TestSvdSolver:
             z_svd = solve_svd(r, v, d).z
             z_sher = solve_sherman(r, v, d).z
             assert np.abs(z_svd - z_sher).max() <= 1e-9
+
+    @pytest.mark.parametrize("nobs, nens", [(2000, 16), (4000, 40)])
+    def test_qr_path_never_forms_u(self, monkeypatch, nobs, nens):
+        # deviations of an ensemble: V has a zero singular value, which
+        # the ensemble-space form W diag(1/(1+s^2)) W' never divides by
+        rng = make_rng(16)
+        r, _, d = verify.random_system(rng, nobs, nens)
+        v = member_deviations(rng.standard_normal((nobs, nens)))
+        root_r = np.sqrt(r)
+        u, s, _ = linalg.svd_thin(v / root_r[:, None], compute_u=True)
+        assert s[-1] <= 1e-13 * s[0]
+        white = d / root_r[:, None]
+        z_u = (white + u @ ((1.0 / (s * s + 1.0) - 1.0)[:, None]
+                            * (u.T @ white))) / root_r[:, None]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dgemqrt called")
+
+        monkeypatch.setattr(linalg.lapack, "dgemqrt", forbidden)
+        z = solve_svd(r, v, d).z
+        assert np.abs(z - z_u).max() <= 1e-13 * np.abs(z_u).max()
 
     def test_single_column_agrees_with_sherman(self):
         r, v, d = verify.random_system(make_rng(12), 20, 1)
