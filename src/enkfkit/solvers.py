@@ -12,10 +12,11 @@ against), but only its lower triangle, in rectangular full packed storage
 (:mod:`enkfkit.linalg`): Nobs(Nobs+1)/2 doubles. The SVD path works in
 whitened coordinates B = diag(r)^{-1/2} V with a thin factorization
 B = U diag(s) W'. Where :func:`enkfkit.linalg.svd_thin` takes its QR path
-(a tall B) it needs only s and W, and shares the Sherman solve's
-ensemble-space tail (:func:`enkfkit.sherman.woodbury_terms`); other
-shapes keep the U form, whose rounding the stored twin RMSEs of
-``perfbench/reference.json`` pin (see :func:`solve_svd`).
+(a tall B) it needs only s and W, and shares the Sherman solve's two
+passes over row blocks of V and D (:func:`enkfkit.sherman.woodbury_terms`,
+:func:`enkfkit.sherman.subtract_correction`); other shapes keep the U
+form, whose rounding the stored twin RMSEs of ``perfbench/reference.json``
+pin (see :func:`solve_svd`).
 """
 
 from __future__ import annotations
@@ -77,14 +78,16 @@ def solve_svd(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     On svd_thin's QR path (:func:`enkfkit.linalg.qr_path`) W is square,
     so (I + B'B)^{-1} = W diag{1/(1 + s_i^2)} W', and by Woodbury
 
-        Z = R^{-1} D - P [W diag{1/(1 + s_i^2)} W'] (V' R^{-1} D)
+        Z = R^{-1} (D - V Y),   Y = W diag{1/(1 + s_i^2)} W' V' R^{-1} D:
 
-    with P = R^{-1} V: the Sherman solve's form, and its P buffer and
-    two ``dgemm`` calls, with the capacitance inverse replaced. U is
-    never formed, and no weight divides by s, so a V of ensemble
-    deviations (one s = 0) needs no special case. Every other B keeps
-    the thin Nobs x Nens factor U, since the system matrix acts as the
-    identity on the orthogonal complement of U:
+    the Sherman solve's form with the capacitance inverse replaced, and
+    its two passes over row blocks, the first without the Gram matrix
+    V' R^{-1} V. So for a C-ordered V the solve allocates no Nobs x Nens
+    array but B, freed before Z is made, and Z. U is never formed, and
+    no weight divides by s, so a V of ensemble deviations (one s = 0)
+    needs no special case. Every other B keeps the thin Nobs x Nens
+    factor U, since the system matrix acts as the identity on the
+    orthogonal complement of U:
 
         Z = R^{-1/2} (U (diag{1/(s_i^2 + 1)} - I) U' + I) R^{-1/2} D
 
@@ -109,9 +112,10 @@ def solve_svd(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
         raise NumericalFailureError(
             f"diag(r)^(-1/2) V overflowed: singular values {s}")
     if tall:
-        p, z, vz = woodbury_terms(r, np.ascontiguousarray(v), d)
+        v = np.ascontiguousarray(v)
+        _, vz = woodbury_terms(r, v, d, gram=False)
         y = (w / (s * s + 1.0)) @ (w.T @ vz)
-        return SolverResult(z=subtract_correction(z, p, y),
+        return SolverResult(z=subtract_correction(r, v, d, y),
                             seconds=time.perf_counter() - t0)
     z = d / root_r[:, None]
     shrink = 1.0 / (s * s + 1.0) - 1.0

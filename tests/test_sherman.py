@@ -269,8 +269,9 @@ class TestWorkspace:
         assert_layout_independent(lambda *a: solve_sherman(*a).z, r, v, d)
 
     def test_returned_z_outlives_the_next_solve(self):
-        # P's buffer is reused by the next solve of the same shape, also by
-        # an SVD solve on svd_thin's QR path (1500x12); Z is not
+        # the block buffer that P passes through is reused by the next
+        # solve of the same block shape, also by an SVD solve on svd_thin's
+        # QR path (1500x12); Z is not
         solve = {"sherman": solve_sherman, "svd": solve_svd}
         for first, then in [("sherman", "sherman"), ("sherman", "svd"),
                             ("svd", "sherman")]:
@@ -281,11 +282,11 @@ class TestWorkspace:
             assert np.array_equal(z, kept), (first, then)
 
     def test_threads_get_serial_results(self):
-        # each thread has its own P buffer, so threads solving different
-        # systems of one shape at once get the serial Z, also when each
-        # alternates with SVD solves (svd_thin's QR path, which shares the
-        # buffer); more threads than cores and a short switch interval make
-        # them interleave
+        # each thread has its own block buffer for P, so threads solving
+        # different systems of one shape at once get the serial Z, also
+        # when each alternates with SVD solves (svd_thin's QR path, which
+        # shares the buffer); more threads than cores and a short switch
+        # interval make them interleave
         systems = [verify.random_system(make_rng(85 + i), 3000, 24)
                    for i in range(4)]
         solves = (solve_sherman, solve_svd)
@@ -313,7 +314,8 @@ class TestWorkspace:
         ("sherman", [(8000, 16)]), ("sherman", [(500, 200)]),
         ("sherman", [(20000, 64)]),
         ("sherman", [(1000, 16), (2000, 16), (4000, 16), (8000, 16)]),
-        # svd_thin's QR path: no U, and P in the Sherman solve's buffer
+        # svd_thin's QR path: no U, and P's blocks in the Sherman solve's
+        # block buffer
         ("svd", [(8000, 16), (20000, 64)]),
     ], ids=["8000-16", "500-200", "20000-64", "ascending-16", "svd-tall"])
     def test_repeated_solves_do_not_page_fault(self, solver, shapes):
@@ -359,6 +361,23 @@ class TestEnsembleSpaceProperties:
     @example(seed=3, nobs=5, nens=17)
     def test_matches_literal_sweep(self, seed, nobs, nens):
         r, v, d = verify.random_system(make_rng(seed), nobs, nens)
+        z = _sweep(r, v, d)
+        reference, _ = _sweep_reference(r, v, d)
+        assert np.abs(z - reference).max() <= 1e-12 * max(
+            1.0, np.abs(reference).max())
+        assert_layout_independent(_sweep, r, v, d)
+
+    # the draws above fit in one row block of sherman.BLOCK_DOUBLES
+    # entries; these span three blocks exactly, or end in a short last
+    # block of one row, of one row less than a block, or of half a block
+    @pytest.mark.parametrize("last", ["exact", "one more", "one less",
+                                      "ragged"])
+    @pytest.mark.parametrize("nens", [16, 64, 200])
+    def test_several_blocks_match_literal_sweep(self, nens, last):
+        rows = sherman.BLOCK_DOUBLES // nens
+        nobs = 3 * rows + {"exact": 0, "one more": 1, "one less": -1,
+                           "ragged": rows // 2}[last]
+        r, v, d = verify.random_system(make_rng(nobs), nobs, nens)
         z = _sweep(r, v, d)
         reference, _ = _sweep_reference(r, v, d)
         assert np.abs(z - reference).max() <= 1e-12 * max(

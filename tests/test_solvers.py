@@ -1,9 +1,10 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from enkfkit import linalg, solvers, verify
+from enkfkit import linalg, sherman, solvers, verify
 from enkfkit.enkf import member_deviations
 from enkfkit.errors import NotPositiveDefiniteError, NumericalFailureError
 from enkfkit.rng import make_rng
@@ -64,10 +65,28 @@ def test_cholesky_holds_one_packed_triangle():
 
 
 def test_svd_frees_the_whitened_factor():
-    # svd_thin's QR path (20000x16) forms no U, and P is the thread's
-    # buffer from the warm-up: B, freed before Z, and then Z alone
+    # svd_thin's QR path (20000x16) forms no U, and P's blocks go through
+    # the thread's block buffer from the warm-up: B, freed before Z, and
+    # then Z alone
     nobs, nens = 20000, 16
     assert traced_peak(solve_svd, nobs, nens) <= 1.25 * 8 * nobs * nens
+
+
+def test_sherman_holds_z_and_one_block():
+    # a cold solve in a fresh thread allocates that thread's block buffer
+    # for P (256 KB of the 10 MB Z) and no other Nobs x Nens array
+    nobs, nens = 20000, 64
+    r, v, d = verify.random_system(make_rng(3), nobs, nens)
+    tracemalloc.start()
+    try:
+        worker = threading.Thread(target=solve_sherman, args=(r, v, d))
+        worker.start()
+        worker.join(timeout=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not worker.is_alive()
+    assert peak <= 1.1 * 8 * nobs * nens
 
 
 class TestSvdSolver:
@@ -98,6 +117,17 @@ class TestSvdSolver:
             z_svd = solve_svd(r, v, d).z
             z_sher = solve_sherman(r, v, d).z
             assert np.abs(z_svd - z_sher).max() <= 1e-9
+
+    @pytest.mark.parametrize("nens", [16, 64, 200])
+    def test_several_blocks_agree_with_sherman(self, nens):
+        # the QR path's two passes over three and a half row blocks of
+        # sherman.BLOCK_DOUBLES entries, at check_solver_agreement's bound
+        nobs = 7 * (sherman.BLOCK_DOUBLES // nens) // 2
+        assert linalg.qr_path(nobs, nens)
+        r, v, d = verify.random_system(make_rng(15), nobs, nens)
+        z_sher = solve_sherman(r, v, d).z
+        z_svd = solve_svd(r, v, d).z
+        assert np.abs(z_sher - z_svd).max() <= 1e-8 * np.abs(z_sher).max()
 
     @pytest.mark.parametrize("nobs, nens", [(2000, 16), (4000, 40)])
     def test_qr_path_never_forms_u(self, monkeypatch, nobs, nens):
