@@ -32,7 +32,12 @@ band shifted by +-X and +-Y. Every interior point sees the operations of
 the plain array expressions in the same order. The band also holds the
 ring columns y = 0 and y = M-1 of the interior rows, where the passes
 write junk; before a Laplacian reads zeta or lap zeta, their ring columns
-are zeroed again.
+are zeroed again. A thread's work arrays for one shape build every view
+the tendency reads or writes once, when they are made: each array's band
+at the nine shifts, the wider ranges of the differences of psi and of
+the Jacobian's products, the Jacobian's interior and the two ring-column
+views. After its first call for a shape, a tendency makes only its ufunc
+calls, the elliptic solve and the array it returns.
 
 Stability: all QG presets have tiny friction coefficients and the beta
 term is damped by the elliptic inversion (growth rates below
@@ -147,7 +152,8 @@ class _Band:
     """The flat layout of one padded grid shape (nx+2, ny+2[, k]).
 
     ``at(a, dx, dy)`` is the band of the flat buffer ``a`` shifted by dx
-    steps in x (X = (ny+2)k values each) and dy steps in y (Y = k each).
+    steps in x (X = (ny+2)k values each) and dy steps in y (Y = k each);
+    ``at.shifts(a)`` maps each shift (dx, dy) in -1..1 to that band.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -161,37 +167,34 @@ class _Band:
         o = dx * self.x + dy * self.y
         return a[self.lo + o:self.hi + o]
 
+    def shifts(self, a: np.ndarray) -> dict:
+        return {(dx, dy): self(a, dx, dy)
+                for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
+
     def interior(self, a: np.ndarray) -> np.ndarray:
         return a.reshape(self.shape)[1:-1, 1:-1]
 
-    def clear_ring(self, a: np.ndarray) -> None:
-        """Zero the ring columns y = 0 and y = ny+1 that the band holds."""
-        a.reshape(self.shape)[1:-1, ::self.shape[1] - 1] = 0.0
+    def ring(self, a: np.ndarray) -> np.ndarray:
+        """The ring columns y = 0 and y = ny+1 that the band holds."""
+        return a.reshape(self.shape)[1:-1, ::self.shape[1] - 1]
 
 
-def _laplacian(padded: np.ndarray, hx: float, hy: float,
-               out: np.ndarray | None = None,
+def _laplacian(p: dict, hx: float, hy: float, out: np.ndarray,
                work: np.ndarray | None = None) -> np.ndarray:
-    """5-point Laplacian of a padded grid (nx+2, ny+2[, k]), on the interior.
+    """5-point Laplacian on the band, into and returning the band ``out``.
 
-    One contiguous pass per term over the band of the flat layout.
-    ``out`` and ``work`` are optional flat buffers of the padded size;
-    ``out`` takes the Laplacian on its band, junk ring columns included,
-    and its interior is returned.
+    ``p`` is :meth:`_Band.shifts` of the padded input; one contiguous pass
+    per term. ``work`` is an optional band-sized buffer.
     """
-    at = _Band(padded.shape)
-    p = padded.reshape(-1)
-    out = np.empty(at.size) if out is None else out
-    c2 = np.multiply(at(p), 2.0, out=at(out))
-    lap_y = np.subtract(at(p, 0, 1), c2,
-                        out=None if work is None else at(work))
-    lap_y += at(p, 0, -1)
+    c2 = np.multiply(p[0, 0], 2.0, out=out)
+    lap_y = np.subtract(p[0, 1], c2, out=work)
+    lap_y += p[0, -1]
     lap_y /= hy * hy
-    lap = np.subtract(at(p, 1), c2, out=c2)
-    lap += at(p, -1)
+    lap = np.subtract(p[1, 0], c2, out=c2)
+    lap += p[-1, 0]
     lap /= hx * hx
     lap += lap_y
-    return at.interior(out)
+    return lap
 
 
 @lru_cache(maxsize=8)
@@ -235,76 +238,90 @@ def helmholtz_apply(psi: np.ndarray, cfg: QGConfig) -> np.ndarray:
     the pair solve/apply cross-checks itself.
     """
     grid = _to_grid(psi, cfg)
-    out = _laplacian(_pad(grid), cfg.hx, cfg.hy) - cfg.froude * grid
-    return _to_flat(out, cfg)
+    padded = _pad(grid)
+    at = _Band(padded.shape)
+    out = np.empty(at.size)
+    _laplacian(at.shifts(padded.reshape(-1)), cfg.hx, cfg.hy, at(out))
+    return _to_flat(at.interior(out) - cfg.froude * grid, cfg)
 
 
 class _Scratch:
-    """Work arrays for one interior grid shape (nx, ny[, k]).
+    """Work arrays for one interior grid shape (nx, ny[, k]), and their views.
 
     Held per thread by :func:`_scratch` and reused by every call, so a
     tendency allocates only what it returns. Each array is one flat buffer
-    in the padded layout of the module docstring, zeroed once; ``at`` gives
-    its band at each shift. The padded q and psi (``fp``, ``gp``) are
-    written only in their interiors, so their ring stays zero. The others
-    are written on the band, junk in its ring columns y = 0 and y = ny+1
-    included; :func:`tendency` zeroes those of zeta and lap zeta (``zp``,
-    ``lp``) before a Laplacian reads them.
+    in the padded layout of the module docstring, zeroed once. Every view
+    the tendency uses is built here, once per set: each array's band at
+    every shift, held as ``fp[dx, dy]`` (see :meth:`_Band.shifts`); the
+    wider ranges of :meth:`load`'s differences and of the Jacobian's
+    products and diagonal differences, as ufunc operand tuples
+    (``*_args``, output last); the interior of ``jac``; and the ring
+    columns of zeta and lap zeta. The padded q and psi (``fp``, ``gp``)
+    are written only in their interiors, so their ring stays zero. The
+    others are written on the band, junk in its ring columns y = 0 and
+    y = ny+1 included; :func:`tendency` zeroes those of zeta and lap zeta
+    before a Laplacian reads them.
     """
 
     def __init__(self, shape: tuple[int, ...]):
         nx, ny = shape[:2]
-        self.at = at = _Band((nx + 2, ny + 2) + shape[2:])
+        at = _Band((nx + 2, ny + 2) + shape[2:])
+        x, y, n = at.x, at.y, at.size
         # fp and gp are the Jacobian operands f and g; gdx = g[i+1] - g[i-1]
         # on every interior row and gdy = g[j+1] - g[j-1] on every row, as
         # j2 reads f gdx and f gdy at two shifts each; jac holds the
         # Jacobian, then the tendency's sum.
+        flat = [np.zeros(n) for _ in range(11)]
+        fp, gp, zp, lp, gdx, gdy, f_gdx, f_gdy, _, _, jac = flat
         (self.fp, self.gp, self.zp, self.lp, self.gdx, self.gdy, self.f_gdx,
-         self.f_gdy, self.t, self.u,
-         self.jac) = (np.zeros(at.size) for _ in range(11))
+         self.f_gdy, self.t, self.u, self.jac) = map(at.shifts, flat)
+        self.f, self.g, self.jac_interior = map(at.interior, (fp, gp, jac))
+        self.zeta_ring, self.lap_ring = at.ring(zp), at.ring(lp)
+        self.gdx_args = gp[2 * x:], gp[:n - 2 * x], gdx[x:n - x]
+        self.gdy_args = gp[2 * y:], gp[:n - 2 * y], gdy[y:n - y]
+        self.f_gdx_args = fp[x:n - x], gdx[x:n - x], f_gdx[x:n - x]
+        self.f_gdy_args = fp[y:n - y], gdy[y:n - y], f_gdy[y:n - y]
         # j3's diagonal differences anti = g[j+1] - g[i+1] and
         # diag = g[i+1, j+1] - g, in the buffers j2 is done with
-        self.anti, self.diag = self.f_gdx, self.f_gdy
-        self.f, self.g = at.interior(self.fp), at.interior(self.gp)
+        m = n - x - y
+        self.anti_args = gp[y:y + m], gp[x:x + m], f_gdx[:m]
+        self.diag_args = gp[x + y:], gp[:m], f_gdy[:m]
         self.stage = np.empty((nx * ny,) + shape[2:])  # the RK4 stage state
 
     def load(self, f: np.ndarray, g: np.ndarray) -> None:
         """Pad ``f`` and ``g`` and take the differences of ``g``."""
         self.f[...] = f
         self.g[...] = g
-        x, y, n, gp = self.at.x, self.at.y, self.at.size, self.gp
-        np.subtract(gp[2 * x:], gp[:n - 2 * x], out=self.gdx[x:n - x])
-        np.subtract(gp[2 * y:], gp[:n - 2 * y], out=self.gdy[y:n - y])
+        np.subtract(*self.gdx_args)
+        np.subtract(*self.gdy_args)
 
     def jacobian(self, hx: float, hy: float) -> np.ndarray:
         """Arakawa Jacobian of the loaded fields into ``jac``; its interior."""
-        at, fp, gp = self.at, self.fp, self.gp
-        x, y, n = at.x, at.y, at.size
-        t, u, jac = at(self.t), at(self.u), at(self.jac)
+        fp, t, u, jac = self.fp, self.t[0, 0], self.u[0, 0], self.jac[0, 0]
         # j1 = f_x g_y - f_y g_x
-        np.subtract(at(fp, 1), at(fp, -1), out=t)
-        np.multiply(t, at(self.gdy), out=jac)
-        np.subtract(at(fp, 0, 1), at(fp, 0, -1), out=u)
-        u *= at(self.gdx)
+        np.subtract(fp[1, 0], fp[-1, 0], out=t)
+        np.multiply(t, self.gdy[0, 0], out=jac)
+        np.subtract(fp[0, 1], fp[0, -1], out=u)
+        u *= self.gdx[0, 0]
         jac -= u
         # j2 = (f g_y)[i+1] - (f g_y)[i-1] - (f g_x)[j+1] + (f g_x)[j-1]
-        np.multiply(fp[y:n - y], self.gdy[y:n - y], out=self.f_gdy[y:n - y])
-        np.multiply(fp[x:n - x], self.gdx[x:n - x], out=self.f_gdx[x:n - x])
-        np.subtract(at(self.f_gdy, 1), at(self.f_gdy, -1), out=t)
-        t -= at(self.f_gdx, 0, 1)
-        t += at(self.f_gdx, 0, -1)
+        np.multiply(*self.f_gdy_args)
+        np.multiply(*self.f_gdx_args)
+        np.subtract(self.f_gdy[1, 0], self.f_gdy[-1, 0], out=t)
+        t -= self.f_gdx[0, 1]
+        t += self.f_gdx[0, -1]
         jac += t
         # j3, the corner terms
-        m = n - x - y
-        np.subtract(gp[y:y + m], gp[x:x + m], out=self.anti[:m])
-        np.subtract(gp[x + y:], gp[:m], out=self.diag[:m])
-        np.multiply(at(fp, 1, 1), at(self.anti), out=t)
-        t -= np.multiply(at(fp, -1, -1), at(self.anti, -1, -1), out=u)
-        t -= np.multiply(at(fp, -1, 1), at(self.diag, -1), out=u)
-        t += np.multiply(at(fp, 1, -1), at(self.diag, 0, -1), out=u)
+        np.subtract(*self.anti_args)
+        np.subtract(*self.diag_args)
+        anti, diag = self.f_gdx, self.f_gdy
+        np.multiply(fp[1, 1], anti[0, 0], out=t)
+        t -= np.multiply(fp[-1, -1], anti[-1, -1], out=u)
+        t -= np.multiply(fp[-1, 1], diag[-1, 0], out=u)
+        t += np.multiply(fp[1, -1], diag[0, -1], out=u)
         jac += t
         jac /= 12.0 * hx * hy
-        return at.interior(self.jac)
+        return self.jac_interior
 
 
 _SCRATCH_SHAPES = 4  # grid shapes whose work arrays a thread keeps
@@ -350,11 +367,13 @@ def arakawa_jacobian(f: np.ndarray, g: np.ndarray,
 
 
 @lru_cache(maxsize=8)
-def _forcing_field(cfg: QGConfig) -> np.ndarray:
+def _forcing_field(cfg: QGConfig, ndim: int) -> np.ndarray:
+    """sin(2 pi y) on the interior grid, for flat states of ``ndim`` axes."""
     y = np.arange(1, cfg.m - 1) * cfg.hy
-    return np.broadcast_to(
+    forcing = np.broadcast_to(
         np.sin(2.0 * np.pi * y)[None, :], cfg.interior_shape
     ).copy()
+    return forcing if ndim == 1 else forcing[:, :, None]
 
 
 def tendency(q: np.ndarray, cfg: QGConfig) -> np.ndarray:
@@ -369,28 +388,26 @@ def tendency(q: np.ndarray, cfg: QGConfig) -> np.ndarray:
     qg = _to_grid(q, cfg)
     s = _scratch(qg.shape)
     s.load(qg, _to_grid(psi, cfg))  # the Jacobian reads them in place
-    arakawa_jacobian(s.f, s.g, cfg.hx, cfg.hy)
-    at = s.at
-    zeta = np.multiply(at(s.gp), cfg.froude, out=at(s.zp))
-    np.add(at(s.fp), zeta, out=zeta)
-    at.clear_ring(s.zp)
-    _laplacian(s.zp.reshape(at.shape), cfg.hx, cfg.hy, s.lp, s.t)
-    at.clear_ring(s.lp)
-    _laplacian(s.lp.reshape(at.shape), cfg.hx, cfg.hy, s.u, s.t)
-    dq, lap_zeta, bilap_zeta, t = at(s.jac), at(s.lp), at(s.u), at(s.t)
-    forcing = _forcing_field(cfg)
-    if q.ndim == 2:
-        forcing = forcing[:, :, None]
+    hx, hy = cfg.hx, cfg.hy
+    arakawa_jacobian(s.f, s.g, hx, hy)
+    dq, t = s.jac[0, 0], s.t[0, 0]
+    zeta = np.multiply(s.gp[0, 0], cfg.froude, out=s.zp[0, 0])
+    np.add(s.fp[0, 0], zeta, out=zeta)
+    s.zeta_ring.fill(0.0)
+    lap_zeta = _laplacian(s.zp, hx, hy, s.lp[0, 0], t)
+    s.lap_ring.fill(0.0)
+    bilap_zeta = _laplacian(s.lp, hx, hy, s.u[0, 0], t)
 
     dq *= -cfg.rossby
-    psi_x = np.divide(at(s.gdx), 2.0 * cfg.hx, out=t)
+    psi_x = np.divide(s.gdx[0, 0], 2.0 * hx, out=t)
     psi_x *= cfg.beta
     dq -= psi_x
     dq -= np.multiply(zeta, cfg.rkb, out=t)
     dq += np.multiply(lap_zeta, cfg.rkh, out=t)
     bilap_zeta *= cfg.rkh2
     dq -= bilap_zeta
-    out = np.add(at.interior(s.jac), forcing, out=np.empty(qg.shape))
+    out = np.add(s.jac_interior, _forcing_field(cfg, q.ndim),
+                 out=np.empty(qg.shape))
     return _to_flat(out, cfg)
 
 

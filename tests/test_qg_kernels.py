@@ -162,7 +162,10 @@ class TestBitsPinned:
 
     def test_laplacian(self):
         padded = reference_pad(make_rng(26).standard_normal((9, 7, 2)))
-        assert np.array_equal(qg._laplacian(padded, 0.3, 0.1),
+        at = qg._Band(padded.shape)
+        out = np.empty(at.size)
+        qg._laplacian(at.shifts(padded.reshape(-1)), 0.3, 0.1, at(out))
+        assert np.array_equal(at.interior(out),
                               reference_laplacian(padded, 0.3, 0.1))
 
     def test_model_steps(self):
@@ -172,6 +175,14 @@ class TestBitsPinned:
         for _ in range(10):
             q, ref = model.step(q), reference_rk4(ref, QG33)
         assert np.array_equal(q, ref)
+
+    def test_truth_spin_up(self):
+        # the truth's shape and length: one state, 120 steps from 1e-6 noise
+        q = ref = 1e-6 * make_rng(28).standard_normal(QG33.nstate)
+        model = QGModel(QG33)
+        for _ in range(120):
+            q, ref = model.step(q), reference_rk4(ref, QG33)
+            assert np.array_equal(q, ref)
 
 
 _FRESH = """
@@ -208,17 +219,34 @@ class TestScratchReuse:
                 assert got.tobytes().hex() == fresh[str(members)]
                 qg.rk4_step(other, cfg)
 
-    @pytest.mark.parametrize("cfg,members", [(QG33, 20), (SKEWED, 4)])
+    @pytest.mark.parametrize("cfg,members",
+                             [(QG33, 20), (SKEWED, 4), (QG33, None)])
     def test_consecutive_calls_on_one_set(self, cfg, members):
         # the band passes leave junk in the ring columns of the work arrays;
         # none of it may reach the next call, even from a far larger state
-        shape = cfg.interior_shape + (members,)
         loud, quiet = 1e5 * state(cfg, members, 44), spun_up(cfg, members, 45)
+        shape = cfg.interior_shape + loud.shape[1:]
         want = [reference_tendency(q, cfg) for q in (loud, quiet)]
         scratch = qg._scratch(shape)
         for q, ref in zip((loud, quiet), want):
             assert np.array_equal(qg.tendency(q, cfg), ref)
         assert qg._scratch(shape) is scratch
+
+    @pytest.mark.parametrize("members", [None, 20])
+    def test_views_are_built_once_per_set(self, monkeypatch, members):
+        q = state(QG33, members, 47)
+        qg.tendency(q, QG33)  # makes this shape's set
+        calls = []
+        for name in ("__init__", "__call__"):
+            def counting(*args, _name=name, _original=getattr(qg._Band, name),
+                         **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(qg._Band, name, counting)
+        qg.tendency(q, QG33)
+        assert calls == []
+        qg.helmholtz_apply(q, QG33)  # which builds a band: the counters count
+        assert set(calls) == {"__init__", "__call__"}
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the mmap threshold behaviour is glibc's")
