@@ -10,12 +10,15 @@ A tall matrix is factored by Chan's R-SVD (ACM TOMS 1982): a QR
 factorization first, with the recursive Level-3 panels of ``dgeqrt``
 (Elmroth and Gustavson, IBM J. Res. Dev. 2000), then ``dgesdd`` on the
 small triangle R, and Q applied to its left factor by ``dgemqrt`` only
-when the caller asks for U (``compute_u``): the ensemble-space SVD solve
-needs only the singular values and the right factor, and at 20000x64
-``dgemqrt`` and its array took 10 of the 29 ms. ``dgesdd`` takes the
-same route itself for tall input, but its ``dgeqrf`` factors each panel
-with Level-2 kernels, which at 20000x64 took about 33 ms of its 76
-against 11 ms for ``dgeqrt``.
+when the caller asks for U (``compute_u``). ``dgesdd`` takes the same
+route itself for tall input, but its ``dgeqrf`` factors each panel with
+Level-2 kernels, which at 20000x64 took about 33 ms of its 76 against 11
+ms for ``dgeqrt``. The ensemble-space SVD solve needs only the singular
+values and the right factor, which R has too, so it calls ``svd_thin``
+on the R of :func:`whitened_r` alone: a sequential TSQR (Demmel,
+Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 2012) that whitens and
+factors one cache-sized row block at a time and forms no whitened copy
+of V.
 
 The triangle is stored in rectangular full packed (RFP) format
 (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 2010; LAPACK's
@@ -28,6 +31,7 @@ this way and ``lapack.dtfttr`` unpacks it.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from scipy.linalg import lapack
@@ -44,6 +48,18 @@ QR_MIN_SIZE = 16384
 # dgeqrt's block size, capped at the column count. 16 made the whole SVD
 # 4-14% slower from 2000x64 to 20000x64 (best times).
 QR_BLOCK = 32
+# Entries in one row block of whitened_r (1 MB). Best whitened_r times at
+# 20000x64, one thread: 12.2 ms at 1024 rows, 10.5 at 2048 (1 MB), 12.2 at
+# 4096, against 13.7 for one dgeqrt of the whole whitened V. A block also
+# has at least QR_ROW_MIN times as many rows as columns, since each block
+# refactors the triangle stacked on it: at 1000x200, two blocks of 1 MB
+# (655 rows) took 4.2 ms against 3.0 for one, and at 20000x200 blocks of 8
+# and 16 times the columns took 70.2 and 67.1 ms against 84.6 for the
+# whole array. So 500x200 and 1000x200 are one block.
+QR_ROW_DOUBLES = 131072
+QR_ROW_MIN = 16
+
+_local = threading.local()
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -163,6 +179,46 @@ def svd_thin(a: np.ndarray, *, overwrite_a: bool = False,
     ut[:, n:] = 0.0
     ut, _ = lapack.dgemqrt(qr, t, ut, side="R", trans="T", overwrite_c=1)
     return ut.T, s, vt.T
+
+
+def whitened_r(v: np.ndarray, root_r: np.ndarray) -> np.ndarray:
+    """The n x n upper triangle R of a QR factorization of
+    diag(root_r)^{-1} V, for an m x n ``v`` with m >= n, built one row block
+    at a time (a sequential TSQR).
+
+    Each block of V is divided by ``root_r`` straight into this thread's
+    Fortran-ordered block buffer, under the R of the rows before it, and
+    ``dgeqrt`` factors the stack; the triangle of its result is the R so
+    far. The first block holds the rows left over by whole blocks (with
+    one whole block if fewer than n are left), so every later block fills
+    the buffer, and a matrix that fits in one block gets the bits of one
+    ``dgeqrt`` of the whole whitened V.
+    """
+    m, n = v.shape
+    rows = max(QR_ROW_DOUBLES // n, QR_ROW_MIN * n)
+    first = m % rows
+    if first < n:  # too few rows left over for a triangle: add a block
+        first = min(m, first + rows)
+    # this thread's block buffer, kept for the last size only, and read
+    # through Fortran-ordered prefix views that dgeqrt factors in place
+    size = n * (first if first == m else rows + n)
+    buf = getattr(_local, "qr", None)
+    if buf is None or buf.size != size:
+        # on a 64-byte boundary: dgeqrt's best time at 2000x32 was 0.23
+        # ms there against 0.28-0.37 ms 16, 32 or 48 bytes past it
+        raw = np.empty(size + 7)
+        skip = -raw.ctypes.data % 64 // 8
+        buf = _local.qr = raw[skip:skip + size]
+    nb = min(QR_BLOCK, n)
+    a = buf[:first * n].reshape((first, n), order="F")
+    np.divide(v[:first], root_r[:first, None], out=a)
+    qr = lapack.dgeqrt(nb, a, overwrite_a=1)[0]
+    for i in range(first, m, rows):
+        a = buf.reshape((rows + n, n), order="F")
+        a[:n] = np.triu(qr[:n])  # a copy, so the overlap of a and qr is safe
+        np.divide(v[i:i + rows], root_r[i:i + rows, None], out=a[n:])
+        qr = lapack.dgeqrt(nb, a, overwrite_a=1)[0]
+    return np.triu(qr[:n])
 
 
 def _dgesdd(a: np.ndarray, overwrite_a: bool):

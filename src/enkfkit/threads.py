@@ -3,11 +3,11 @@
 numpy and scipy each ship their own OpenBLAS. The sweep's products and
 the factorizations (``dpotrf``/``dpotrs``, the Cholesky path's
 ``dsfrk``/``dpftrf``/``dpftrs`` and the SVD's ``dgesdd``, after
-``dgeqrt`` on a tall matrix) run on scipy's copy, and so do the tall SVD
-solve's two Nobs-sized products, which are the sweep's ``dgemm`` calls;
-numpy's copy keeps the Nens x Nens products, the two products with U of
-an SVD solve off ``svd_thin``'s QR path and the finiteness check's
-product. The default budget gives
+``dgeqrt`` on row blocks of a tall whitened V) run on scipy's copy, and
+so do the tall SVD solve's two Nobs-sized products, which are the sweep's
+``dgemm`` calls; numpy's copy keeps the Nens x Nens products, the two
+products with U of an SVD solve off the QR path and the finiteness
+check's product. The default budget gives
 every copy one thread, so no idle workers of one copy spin against the
 other. The one exception is chosen from the problem size: a dense Cholesky
 solve of at least PARALLEL_ORDER observations runs every copy but numpy's

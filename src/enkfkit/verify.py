@@ -114,8 +114,10 @@ def _recurse(r, v, x, k, tag, log):
 
 
 # (Nobs, Nens) of the ensemble-deviation systems check_solver_agreement
-# always adds: the random sizes reach svd_thin's QR path only by chance.
-AGREEMENT_TALL_SHAPES = ((1024, 16), (2000, 40), (2500, 64))
+# always adds: the random sizes reach the QR path only by chance.
+# 5000x64 is three row blocks of linalg.whitened_r: the 904 rows left
+# over by whole blocks, then two of 2048 stacked under the triangle.
+AGREEMENT_TALL_SHAPES = ((1024, 16), (2000, 40), (2500, 64), (5000, 64))
 
 
 def _agreement_systems(rng, instances):

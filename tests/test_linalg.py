@@ -250,6 +250,44 @@ class TestSvdQrPath:
         assert calls == (["dgeqrt"] if qr else [])
 
 
+def block_rows(n):
+    """Rows in one row block of whitened_r for n columns."""
+    return max(linalg.QR_ROW_DOUBLES // n, linalg.QR_ROW_MIN * n)
+
+
+def whitened_system(seed, m, n):
+    rng = make_rng(seed)
+    return rng.standard_normal((m, n)), np.sqrt(rng.uniform(0.5, 2.0, m))
+
+
+class TestWhitenedR:
+    @pytest.mark.parametrize("shape", [(500, 200), (1000, 20)])
+    def test_one_block_is_one_dgeqrt(self, shape):
+        # a matrix that fits in one block gets the bits of one dgeqrt of
+        # the whole whitened V, as svd_thin's QR path factors it
+        m, n = shape
+        assert m <= block_rows(n)
+        v, root_r = whitened_system(27, m, n)
+        b = np.asfortranarray(v / root_r[:, None])
+        qr = lapack.dgeqrt(min(linalg.QR_BLOCK, n), b)[0]
+        assert np.array_equal(linalg.whitened_r(v, root_r), np.triu(qr[:n]))
+
+    @pytest.mark.parametrize("n", [16, 64, 200])
+    @pytest.mark.parametrize("blocks, extra", [(2, 0), (3, 0.5), (2, 3)],
+                             ids=["2-blocks", "3-blocks-and-half-n",
+                                  "2-blocks-and-3n"])
+    def test_blocks_keep_the_singular_values(self, n, blocks, extra):
+        # whole blocks only, and whole blocks plus a remainder of fewer
+        # rows than columns (factored with the first block) or of more
+        m = blocks * block_rows(n) + int(extra * n)
+        v, root_r = whitened_system(28, m, n)
+        tri = linalg.whitened_r(v, root_r)
+        assert tri.shape == (n, n) and np.array_equal(tri, np.triu(tri))
+        want = svd_thin(v / root_r[:, None], compute_u=False)[1]
+        s = svd_thin(tri, compute_u=False)[1]
+        assert np.abs(s - want).max() <= 1e-13 * want[0]
+
+
 class TestRankKUpdate:
     def test_zero_v_gives_diagonal(self):
         r = np.array([2.0, 3.0, 4.0])

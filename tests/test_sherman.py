@@ -194,7 +194,7 @@ class TestHostileInputs:
         for solve in (solve_sherman, solve_cholesky, solve_svd):
             assert_small_backward_error(r, v, d, solve)
 
-    # the same bound where solve_svd takes svd_thin's QR path: at least
+    # the same bound where solve_svd takes the QR path: at least
     # twice as many rows as columns and linalg.QR_MIN_SIZE entries
     @settings(derandomize=True, deadline=None, max_examples=12)
     @given(seed=st.integers(0, 2**32 - 1), nobs=st.integers(2100, 4000),
@@ -284,10 +284,11 @@ class TestWorkspace:
     def test_threads_get_serial_results(self):
         # each thread has its own block buffer for P, so threads solving
         # different systems of one shape at once get the serial Z, also
-        # when each alternates with SVD solves (svd_thin's QR path, which
-        # shares the buffer); more threads than cores and a short switch
+        # when each alternates with SVD solves (the QR path, which shares
+        # the buffer and factors the whitened V in two row blocks in the
+        # thread's QR buffer); more threads than cores and a short switch
         # interval make them interleave
-        systems = [verify.random_system(make_rng(85 + i), 3000, 24)
+        systems = [verify.random_system(make_rng(85 + i), 6000, 24)
                    for i in range(4)]
         solves = (solve_sherman, solve_svd)
         serial = [[solve(*system).z for solve in solves] for system in systems]
@@ -314,8 +315,8 @@ class TestWorkspace:
         ("sherman", [(8000, 16)]), ("sherman", [(500, 200)]),
         ("sherman", [(20000, 64)]),
         ("sherman", [(1000, 16), (2000, 16), (4000, 16), (8000, 16)]),
-        # svd_thin's QR path: no U, and P's blocks in the Sherman solve's
-        # block buffer
+        # the QR path: no U, the whitened V's row blocks in the QR buffer
+        # and P's in the Sherman solve's block buffer
         ("svd", [(8000, 16), (20000, 64)]),
     ], ids=["8000-16", "500-200", "20000-64", "ascending-16", "svd-tall"])
     def test_repeated_solves_do_not_page_fault(self, solver, shapes):

@@ -45,6 +45,11 @@ class TestCholeskySolver:
             solve_cholesky(np.ones(3), v, np.ones((3, 1)))
 
 
+def qr_block_rows(nens):
+    """Rows in one row block of linalg.whitened_r for nens columns."""
+    return max(linalg.QR_ROW_DOUBLES // nens, linalg.QR_ROW_MIN * nens)
+
+
 def traced_peak(solve, nobs, nens):
     """Peak bytes numpy allocates in one solve, after a warm-up solve."""
     r, v, d = verify.random_system(make_rng(3), nobs, nens)
@@ -64,12 +69,12 @@ def test_cholesky_holds_one_packed_triangle():
     assert traced_peak(solve_cholesky, nobs, 8) <= 0.55 * 8 * nobs ** 2
 
 
-def test_svd_frees_the_whitened_factor():
-    # svd_thin's QR path (20000x16) forms no U, and P's blocks go through
-    # the thread's block buffer from the warm-up: B, freed before Z, and
-    # then Z alone
+def test_tall_svd_holds_z_and_small_arrays():
+    # the QR path (20000x16): the whitened V is factored block by block in
+    # the thread's QR buffer and P's blocks go through its Sherman block
+    # buffer, both from the warm-up, so Z is the one large array
     nobs, nens = 20000, 16
-    assert traced_peak(solve_svd, nobs, nens) <= 1.25 * 8 * nobs * nens
+    assert traced_peak(solve_svd, nobs, nens) <= 1.15 * 8 * nobs * nens
 
 
 def test_sherman_holds_z_and_one_block():
@@ -111,7 +116,7 @@ class TestSvdSolver:
         assert np.abs(z[:, 0] - dense).max() <= 1e-12
 
     def test_agrees_with_sherman(self):
-        # dgesdd alone, and svd_thin's QR path
+        # dgesdd alone, and the QR path
         for seed, nobs, nens in [(9, 50, 8), (14, 4000, 32)]:
             r, v, d = verify.random_system(make_rng(seed), nobs, nens)
             z_svd = solve_svd(r, v, d).z
@@ -125,6 +130,19 @@ class TestSvdSolver:
         nobs = 7 * (sherman.BLOCK_DOUBLES // nens) // 2
         assert linalg.qr_path(nobs, nens)
         r, v, d = verify.random_system(make_rng(15), nobs, nens)
+        z_sher = solve_sherman(r, v, d).z
+        z_svd = solve_svd(r, v, d).z
+        assert np.abs(z_sher - z_svd).max() <= 1e-8 * np.abs(z_sher).max()
+
+    @pytest.mark.parametrize("nens", [16, 64, 200])
+    @pytest.mark.parametrize("blocks, extra", [(2, 0), (3, 0.5), (2, 3)],
+                             ids=["2-blocks", "3-blocks-and-half-n",
+                                  "2-blocks-and-3n"])
+    def test_r_blocks_agree_with_sherman(self, nens, blocks, extra):
+        # whitened_r's row blocks, whole or with a remainder, at
+        # check_solver_agreement's bound
+        nobs = blocks * qr_block_rows(nens) + int(extra * nens)
+        r, v, d = verify.random_system(make_rng(17), nobs, nens)
         z_sher = solve_sherman(r, v, d).z
         z_svd = solve_svd(r, v, d).z
         assert np.abs(z_sher - z_svd).max() <= 1e-8 * np.abs(z_sher).max()
@@ -238,10 +256,15 @@ def test_overflow_raises_arithmetic_error(solver, dispatch):
 
 def test_svd_overflow_is_numerical_failure():
     # dgesdd reports success on the inf matrix but returns s = [nan],
-    # which made all of Z NaN; svd_thin's QR path (2000x16) returns the same
+    # which made all of Z NaN; on the QR path (2000x16) dgeqrt makes R NaN,
+    # also when only the last of three row blocks overflows (6144x64)
     r, v, d = verify.random_system(make_rng(13), 2000, 16)
-    for system in [overflow_system(), (1e-300 * r, 1e200 * v, d)]:
-        with pytest.raises(NumericalFailureError, match="singular values"), \
+    r3, v3, d3 = verify.random_system(make_rng(13), 3 * qr_block_rows(64), 64)
+    r3[-1], v3[-1] = 1e-300, 1e200
+    for system in [overflow_system(), (1e-300 * r, 1e200 * v, d),
+                   (r3, v3, d3)]:
+        with pytest.raises(NumericalFailureError,
+                           match="overflowed.*singular values"), \
                 np.errstate(over="ignore"):
             solve_svd(*system)
 
