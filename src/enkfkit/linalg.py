@@ -6,21 +6,19 @@ pivot reporting for failed Cholesky factorizations, a rank-k update and a
 Cholesky factorization that hold only the lower triangle, an SVD whose
 factors satisfy A = U diag(s) V', and one finiteness check for all of them.
 
-A tall matrix is factored by Chan's R-SVD (ACM TOMS 1982): a QR
-factorization first, with the recursive Level-3 panels of ``dgeqrt``
-(Elmroth and Gustavson, IBM J. Res. Dev. 2000), then ``dgesdd`` on the
-small triangle R, and Q applied to its left factor by ``dgemqrt`` only
-when the caller asks for U (``compute_u``). ``dgesdd`` takes the same
-route itself for tall input, but its ``dgeqrf`` factors each panel with
-Level-2 kernels, which at 20000x64 took about 33 ms of its 76 against 11
-ms for ``dgeqrt``. The ensemble-space SVD solve needs only the singular
-values and the right factor, which R has too, so it calls ``svd_thin``
-on the R of :func:`whitened_r` alone: a sequential TSQR (Demmel,
-Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 2012) that whitens and
-factors one cache-sized row block at a time and forms no whitened copy
-of V.
+An SVD is one ``dgesdd`` call. The ensemble-space SVD solve of a tall
+system needs only the singular values and the right factor of the
+whitened V, which the n x n triangle R of its QR factorization has too,
+so it calls ``svd_thin`` on the R of :func:`whitened_r`: a sequential
+TSQR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 2012)
+that whitens and factors one cache-sized row block at a time with the
+recursive Level-3 panels of ``dgeqrt`` (Elmroth and Gustavson, IBM J.
+Res. Dev. 2000), and forms no whitened copy of V. ``dgesdd`` takes a QR
+first by itself for tall input, but its ``dgeqrf`` factors each panel
+with Level-2 kernels, which at 20000x64 took about 33 ms of its 76
+against 11 ms for ``dgeqrt``.
 
-The triangle is stored in rectangular full packed (RFP) format
+The Cholesky triangle is stored in rectangular full packed (RFP) format
 (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 2010; LAPACK's
 ``TRANSR='N'``, ``UPLO='L'``): the n(n+1)/2 entries of an n x n lower
 triangle in one 1-D array, laid out so that ``dsfrk``, ``dpftrf`` and
@@ -38,15 +36,8 @@ from scipy.linalg import lapack
 
 from .errors import NotPositiveDefiniteError, NumericalFailureError
 
-# svd_thin takes the QR path from this many entries up, for matrices with
-# at least twice as many rows as columns. Best times of the QR path over
-# dgesdd alone, one thread: 1.25 at 40x20, 0.95 at 240x20, 0.76 at 480x20,
-# 0.63 at 1000x20, 0.46 at 8000x16, 0.84 at 500x200, 0.32 at 20000x64.
-# The cut sits above 480x20 so that qg33-short's 480x20 solves keep their
-# rounding, which the RMSEs stored in perfbench/reference.json hold.
-QR_MIN_SIZE = 16384
-# dgeqrt's block size, capped at the column count. 16 made the whole SVD
-# 4-14% slower from 2000x64 to 20000x64 (best times).
+# whitened_r's dgeqrt block size, capped at the column count. 16 made a
+# QR-first SVD 4-14% slower from 2000x64 to 20000x64 (best times).
 QR_BLOCK = 32
 # Entries in one row block of whitened_r (1 MB). Best whitened_r times at
 # 20000x64, one thread: 12.2 ms at 1024 rows, 10.5 at 2048 (1 MB), 12.2 at
@@ -118,23 +109,9 @@ def cholesky_factor(a: np.ndarray, *, overwrite_a: bool = False) -> np.ndarray:
     return c
 
 
-def qr_path(rows: int, cols: int) -> bool:
-    """Whether :func:`svd_thin` factors a rows x cols matrix by a QR first:
-    at least twice as many rows as columns and ``QR_MIN_SIZE`` entries."""
-    return rows >= 2 * cols and rows * cols >= QR_MIN_SIZE
-
-
-def svd_thin(a: np.ndarray, *, overwrite_a: bool = False,
-             compute_u: bool = True):
+def svd_thin(a: np.ndarray, *, overwrite_a: bool = False):
     """Economy singular value decomposition A = U diag(s) V', with U of
-    shape rows x min(rows, cols), on scipy's BLAS.
-
-    A matrix on the :func:`qr_path` is factored as A = QR first
-    (``dgeqrt``), then R = U_R diag(s) V' (``dgesdd``), and, only if
-    ``compute_u``, U' = [U_R' 0] Q' (``dgemqrt``): Chan's R-SVD. Any other
-    matrix goes to ``dgesdd`` directly, which forms U whether or not it is
-    asked for. With ``compute_u=False`` (after numpy's ``compute_uv``)
-    ``u`` is None and ``s`` and ``v`` are the same bits as with it.
+    shape rows x min(rows, cols), by one LAPACK ``dgesdd`` call.
 
     ``a`` is left as it was unless ``overwrite_a`` is set; then a
     Fortran-ordered float64 ``a`` is factored in place (and destroyed), so
@@ -145,40 +122,26 @@ def svd_thin(a: np.ndarray, *, overwrite_a: bool = False,
     (u, s, v) with singular values ``s`` in descending order and
     ``a == u @ diag(s) @ v.T`` up to rounding. Note ``v`` is returned,
     not its transpose. ``u`` is C-ordered, as numpy's SVD returns it, so
-    products with it round the same way. An ``a`` holding inf (and no
-    NaN) gives NaN factors, as ``dgesdd`` does.
+    products with it round the same way.
 
     Raises
     ------
-    ValueError if ``a`` is not a non-empty matrix or contains NaN;
-    NumericalFailureError if the underlying iteration does not converge.
+    ValueError if ``a`` is not a non-empty matrix or contains non-finite
+    entries; NumericalFailureError if the underlying iteration does not
+    converge.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or min(a.shape) < 1:
         raise ValueError(f"expected a non-empty matrix, got shape {a.shape}")
-    m, n = a.shape
-    k = min(m, n)
     if not all_finite(a):
-        if np.isnan(a).any():
-            raise ValueError("matrix contains NaN")
-        u = np.full((m, k), np.nan) if compute_u else None
-        return u, np.full(k, np.nan), np.full((n, k), np.nan)
-    if not qr_path(m, n):
-        u, s, vt = _dgesdd(a, overwrite_a)
-        return np.ascontiguousarray(u) if compute_u else None, s, vt.T
-    # dgeqrt and dgemqrt report only argument errors, and the shapes are theirs
-    qr, t, _ = lapack.dgeqrt(min(QR_BLOCK, n), a, overwrite_a=overwrite_a)
-    u_r, s, vt = _dgesdd(np.triu(qr[:n]), True)
-    if not compute_u:
-        return None, s, vt.T
-    # U' = [U_R' 0] Q', an n x m Fortran array: U in C order. Zeroed here,
-    # not by np.zeros, whose pages dgemqrt then faulted in with about
-    # twice the minor faults (8000x16)
-    ut = np.empty((n, m), order="F")
-    ut[:, :n] = u_r.T
-    ut[:, n:] = 0.0
-    ut, _ = lapack.dgemqrt(qr, t, ut, side="R", trans="T", overwrite_c=1)
-    return ut.T, s, vt.T
+        raise ValueError("matrix contains non-finite entries")
+    u, s, vt, info = lapack.dgesdd(a, full_matrices=0,
+                                   overwrite_a=overwrite_a)
+    if info > 0:
+        raise NumericalFailureError(f"SVD did not converge (dgesdd info {info})")
+    if info < 0:  # pragma: no cover - argument errors are caught above
+        raise ValueError(f"invalid argument {-info} to dgesdd")
+    return np.ascontiguousarray(u), s, vt.T
 
 
 def whitened_r(v: np.ndarray, root_r: np.ndarray) -> np.ndarray:
@@ -219,17 +182,6 @@ def whitened_r(v: np.ndarray, root_r: np.ndarray) -> np.ndarray:
         np.divide(v[i:i + rows], root_r[i:i + rows, None], out=a[n:])
         qr = lapack.dgeqrt(nb, a, overwrite_a=1)[0]
     return np.triu(qr[:n])
-
-
-def _dgesdd(a: np.ndarray, overwrite_a: bool):
-    """(u, s, vt) of ``a`` (finite) by LAPACK ``dgesdd``."""
-    u, s, vt, info = lapack.dgesdd(a, full_matrices=0,
-                                   overwrite_a=overwrite_a)
-    if info > 0:
-        raise NumericalFailureError(f"SVD did not converge (dgesdd info {info})")
-    if info < 0:  # pragma: no cover - the checks in svd_thin leave none
-        raise ValueError(f"invalid argument {-info} to dgesdd")
-    return u, s, vt
 
 
 def sym_rank_k_update(v: np.ndarray, r: np.ndarray) -> np.ndarray:

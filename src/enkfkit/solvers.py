@@ -11,10 +11,11 @@ the dense baseline whose cost profile the cheaper solvers are measured
 against), but only its lower triangle, in rectangular full packed storage
 (:mod:`enkfkit.linalg`): Nobs(Nobs+1)/2 doubles. The SVD path works in
 whitened coordinates B = diag(r)^{-1/2} V with a thin factorization
-B = U diag(s) W'. On :func:`enkfkit.linalg.qr_path` shapes (a tall B) it
-needs only s and W, which it takes from the n x n R of B, built by row
-blocks of V (:func:`enkfkit.linalg.whitened_r`), and shares the Sherman
-solve's two passes over row blocks of V and D
+B = U diag(s) W', one :func:`enkfkit.linalg.svd_thin` call. On
+:func:`qr_path` shapes (a tall B) it needs only s and W, which it takes
+from the n x n R of B, built by row blocks of V
+(:func:`enkfkit.linalg.whitened_r`), and shares the Sherman solve's two
+passes over row blocks of V and D
 (:func:`enkfkit.sherman.woodbury_terms`,
 :func:`enkfkit.sherman.subtract_correction`); other shapes keep the U
 form, whose rounding the stored twin RMSEs of ``perfbench/reference.json``
@@ -30,11 +31,20 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import NumericalFailureError
-from .linalg import (all_finite, cholesky_factor, qr_path, svd_thin,
-                     sym_rank_k_update, whitened_r)
+from .linalg import cholesky_factor, svd_thin, sym_rank_k_update, whitened_r
 from .sherman import (SolverResult, solve_sherman, subtract_correction,
                       validate_system, woodbury_terms)
 from .threads import factorization_threads
+
+# solve_svd takes the W form, on the triangle of whitened_r, from this
+# many entries of V up, for at least twice as many rows as columns, and
+# the U form, on dgesdd of the whole whitened V, below. Best times of a QR
+# first over dgesdd alone, one thread: 1.25 at 40x20, 0.95 at 240x20, 0.76
+# at 480x20, 0.63 at 1000x20, 0.46 at 8000x16, 0.84 at 500x200, 0.32 at
+# 20000x64. The cut sits above 480x20 so that qg33-short's 480x20 solves
+# keep the U form's rounding, which the RMSEs stored in
+# perfbench/reference.json hold.
+QR_MIN_SIZE = 16384
 
 
 class SolverChoice(str, Enum):
@@ -43,6 +53,12 @@ class SolverChoice(str, Enum):
     SHERMAN = "sherman"
     CHOLESKY = "cholesky"
     SVD = "svd"
+
+
+def qr_path(rows: int, cols: int) -> bool:
+    """Whether :func:`solve_svd` takes the W form on a rows x cols V: at
+    least twice as many rows as columns and ``QR_MIN_SIZE`` entries."""
+    return rows >= 2 * cols and rows * cols >= QR_MIN_SIZE
 
 
 def solve_cholesky(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
@@ -78,7 +94,7 @@ def solve_svd(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     ``v`` carries the 1/sqrt(Nens-1) scaling, as for the other solvers. In
     whitened coordinates B = diag(r)^{-1/2} V = U diag(s) W'.
 
-    On the tall shapes of :func:`enkfkit.linalg.qr_path` W is square, so
+    On the tall shapes of :func:`qr_path` W is square, so
     (I + B'B)^{-1} = W diag{1/(1 + s_i^2)} W', and by Woodbury
 
         Z = R^{-1} (D - V Y),   Y = W diag{1/(1 + s_i^2)} W' V' R^{-1} D:
@@ -102,32 +118,34 @@ def solve_svd(r: np.ndarray, v: np.ndarray, d: np.ndarray) -> SolverResult:
     the benchmark's 1e-7 bound.
 
     Raises ValueError on invalid input, and NumericalFailureError if the
-    SVD does not converge or the whitened V overflows (its triangle T or
-    its singular values come back NaN, which would turn all of Z into
-    NaN).
+    SVD does not converge or the whitened V overflows (the matrix factored
+    is not finite, or its singular values are not, which would turn all
+    of Z into NaN).
     """
     r, v, d = validate_system(r, v, d)
     t0 = time.perf_counter()
     root_r = np.sqrt(r)
-    if qr_path(*v.shape):
+    tall = qr_path(*v.shape)
+    if tall:
         v = np.ascontiguousarray(v)
-        tri = whitened_r(v, root_r)
-        if not all_finite(tri):  # dgeqrt turns an inf of B into NaN
-            raise NumericalFailureError(
-                "diag(r)^(-1/2) V overflowed: its QR triangle is not finite, "
-                "so it has no singular values")
-        _, s, w = svd_thin(tri, compute_u=False)
+        a = whitened_r(v, root_r)
+    else:  # whitened straight into the Fortran order svd_thin factors in place
+        a = np.divide(v, root_r[:, None], out=np.empty(v.shape, order="F"))
+    try:
+        u, s, w = svd_thin(a, overwrite_a=True)
+    except ValueError as exc:  # a is a matrix built from finite input
+        raise NumericalFailureError(
+            f"diag(r)^(-1/2) V overflowed: {exc}, so it has no singular "
+            f"values") from exc
+    del a  # freed before Z
+    if not np.isfinite(s).all():
+        raise NumericalFailureError(
+            f"diag(r)^(-1/2) V overflowed: singular values {s}")
+    if tall:
         _, vz = woodbury_terms(r, v, d, gram=False)
         y = (w / (s * s + 1.0)) @ (w.T @ vz)
         return SolverResult(z=subtract_correction(r, v, d, y),
                             seconds=time.perf_counter() - t0)
-    # whitened straight into the Fortran order svd_thin factors in place
-    b = np.divide(v, root_r[:, None], out=np.empty(v.shape, order="F"))
-    u, s, _ = svd_thin(b, overwrite_a=True)
-    del b  # overwritten by the factorization; freed before Z
-    if not np.isfinite(s).all():
-        raise NumericalFailureError(
-            f"diag(r)^(-1/2) V overflowed: singular values {s}")
     z = d / root_r[:, None]
     shrink = 1.0 / (s * s + 1.0) - 1.0
     # the whitened D becomes the whitened Z, then Z, in place

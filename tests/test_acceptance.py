@@ -14,10 +14,10 @@ import numpy as np
 
 from enkfkit import verify
 from enkfkit.experiment import ExperimentConfig, emit_csv, load_config, run_experiment
-from enkfkit.linalg import qr_path
 from enkfkit.rng import make_rng
 from enkfkit.scaling import run_scaling_study
 from enkfkit.sherman import solve_sherman
+from enkfkit.solvers import qr_path
 from enkfkit.threads import blas_threads, set_blas_threads
 
 

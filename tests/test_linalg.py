@@ -86,13 +86,26 @@ class TestCholesky:
         assert np.array_equal(spd, lower)
 
 
+def assert_svd_agrees(a, u, s, v):
+    """(u, s, v) is a thin SVD of ``a`` whose singular values match
+    ``dgesdd``'s to 1e-13 of the largest, with a C-ordered orthonormal U."""
+    _, want, _, info = lapack.dgesdd(a, full_matrices=0)
+    assert info == 0
+    k = min(a.shape)
+    assert u.shape == (a.shape[0], k) and u.flags.c_contiguous
+    assert np.abs(s - want).max() <= 1e-13 * want[0]
+    assert np.abs(u @ np.diag(s) @ v.T - a).max() <= 1e-13 * np.linalg.norm(a)
+    assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-13
+    assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-13
+
+
 class TestSvd:
     def test_diagonal_input(self):
         u, s, v = svd_thin(np.diag([3.0, 2.0, 1.0]))
         assert np.allclose(s, [3.0, 2.0, 1.0])
 
     def test_zero_matrix(self):
-        for shape in [(4, 2), (1200, 16)]:  # dgesdd alone, and the QR path
+        for shape in [(4, 2), (1200, 16)]:  # a small and a tall matrix
             u, s, _ = svd_thin(np.zeros(shape))
             assert np.array_equal(s, np.zeros(shape[1]))
             assert np.abs(u.T @ u - np.eye(shape[1])).max() <= 1e-15
@@ -128,7 +141,7 @@ class TestSvd:
             return np.zeros((a.shape[0], k)), np.zeros(k), np.zeros((k, a.shape[1])), 3
 
         monkeypatch.setattr(linalg.lapack, "dgesdd", failing)
-        # dgesdd alone, and after the QR factorization
+        # a square and a tall matrix
         for a in [np.eye(3), make_rng(25).standard_normal((1000, 20))]:
             with pytest.raises(NumericalFailureError, match="converge"):
                 svd_thin(a)
@@ -138,6 +151,23 @@ class TestSvd:
     def test_rejects_bad_input(self, a):
         with pytest.raises(ValueError):
             svd_thin(a)
+
+    def test_overwrite_a_factors_in_place(self):
+        a = np.asfortranarray(make_rng(22).standard_normal((1000, 32)))
+        kept = a.copy()
+        assert_svd_agrees(kept, *svd_thin(a))
+        assert np.array_equal(a, kept)  # kept without overwrite_a
+        u, s, v = svd_thin(a, overwrite_a=True)
+        assert not np.array_equal(a, kept)  # dgesdd's work went into a
+        assert_svd_agrees(kept, u, s, v)
+
+    def test_zero_and_duplicated_columns(self):
+        a = make_rng(23).standard_normal((1500, 24))
+        a[:, [3, 17]] = 0.0
+        a[:, [5, 9, 20]] = a[:, [1, 1, 2]]
+        u, s, v = svd_thin(a)
+        assert_svd_agrees(a, u, s, v)
+        assert np.all(s[-5:] <= 1e-13 * s[0]) and s[-6] > 1e-3 * s[0]
 
 
 def corners(shape):
@@ -161,93 +191,20 @@ class TestAllFinite:
             b[index] = bad
             assert not linalg.all_finite(b), index
 
-    @pytest.mark.parametrize("n", [5, 6])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_cholesky_rejects_nonfinite_anywhere_in_rfp(self, n, bad):
-        spd = pack(np.eye(n) * 2.0)
-        for index in corners(spd.shape):
-            a = spd.copy()
+    # both factorizations: the RFP arrays of two Cholesky triangles, and
+    # a tall matrix for the SVD
+    @pytest.mark.parametrize("factor, good", [
+        (cholesky_factor, pack(np.eye(5) * 2.0)),
+        (cholesky_factor, pack(np.eye(6) * 2.0)),
+        (svd_thin, make_rng(24).standard_normal((1000, 20))),
+    ], ids=["5", "6", "svd-1000x20"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cholesky_rejects_nonfinite_anywhere_in_rfp(self, factor, good, bad):
+        for index in corners(good.shape):
+            a = good.copy()
             a[index] = bad
             with pytest.raises(ValueError, match="non-finite"):
-                cholesky_factor(a)
-
-
-def assert_svd_agrees(a, u, s, v):
-    """(u, s, v) is a thin SVD of ``a`` whose singular values match
-    ``dgesdd``'s to 1e-13 of the largest, with a C-ordered orthonormal U."""
-    _, want, _, info = lapack.dgesdd(a, full_matrices=0)
-    assert info == 0
-    k = min(a.shape)
-    assert u.shape == (a.shape[0], k) and u.flags.c_contiguous
-    assert np.abs(s - want).max() <= 1e-13 * want[0]
-    assert np.abs(u @ np.diag(s) @ v.T - a).max() <= 1e-13 * np.linalg.norm(a)
-    assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-13
-    assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-13
-
-
-class TestSvdQrPath:
-    # shapes above the cut: at least twice as many rows as columns and
-    # linalg.QR_MIN_SIZE entries
-    SHAPES = [(820, 20), (2048, 8), (500, 200), (4000, 64)]
-
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_agrees_with_dgesdd(self, shape):
-        a = make_rng(21).standard_normal(shape)
-        kept = a.copy()
-        assert_svd_agrees(a, *svd_thin(a))
-        assert np.array_equal(a, kept)
-
-    def test_overwrite_a_factors_in_place(self):
-        a = np.asfortranarray(make_rng(22).standard_normal((1000, 32)))
-        kept = a.copy()
-        u, s, v = svd_thin(a, overwrite_a=True)
-        assert not np.array_equal(a, kept)  # the QR factors went into a
-        assert_svd_agrees(kept, u, s, v)
-
-    def test_zero_and_duplicated_columns(self):
-        a = make_rng(23).standard_normal((1500, 24))
-        a[:, [3, 17]] = 0.0
-        a[:, [5, 9, 20]] = a[:, [1, 1, 2]]
-        u, s, v = svd_thin(a)
-        assert_svd_agrees(a, u, s, v)
-        assert np.all(s[-5:] <= 1e-13 * s[0]) and s[-6] > 1e-3 * s[0]
-
-    @pytest.mark.parametrize("index", corners((1000, 20)))
-    def test_nan_raises_inf_gives_nan(self, index):
-        a = make_rng(24).standard_normal((1000, 20))
-        a[index] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
-            svd_thin(a)
-        a[index] = -np.inf
-        u, s, v = svd_thin(a)
-        assert s.shape == (20,) and np.isnan(s).all()
-        u, s, v = svd_thin(a, compute_u=False)
-        assert u is None and np.isnan(s).all() and np.isnan(v).all()
-
-    @pytest.mark.parametrize("shape, qr", [
-        ((40, 20), False), ((480, 20), False), ((1022, 16), False),
-        ((1024, 16), True), ((181, 91), False), ((182, 91), True),
-        ((128, 128), False), ((20, 1000), False), ((16384, 1), True),
-    ])
-    def test_each_side_of_the_cut_takes_its_path(self, monkeypatch, shape, qr):
-        calls = []
-        for name in ["dgeqrt", "dgemqrt"]:
-            def spy(*args, _name=name, _kernel=getattr(lapack, name), **kwargs):
-                calls.append(_name)
-                return _kernel(*args, **kwargs)
-
-            monkeypatch.setattr(linalg.lapack, name, spy)
-        assert linalg.qr_path(*shape) == qr
-        a = make_rng(26).standard_normal(shape)
-        u, s, v = svd_thin(a)
-        assert_svd_agrees(a, u, s, v)
-        assert calls == (["dgeqrt", "dgemqrt"] if qr else [])
-        # without U: the same bits of s and V, and no dgemqrt
-        calls.clear()
-        no_u = svd_thin(a, compute_u=False)
-        assert no_u[0] is None
-        assert np.array_equal(no_u[1], s) and np.array_equal(no_u[2], v)
-        assert calls == (["dgeqrt"] if qr else [])
+                factor(a)
 
 
 def block_rows(n):
@@ -264,7 +221,7 @@ class TestWhitenedR:
     @pytest.mark.parametrize("shape", [(500, 200), (1000, 20)])
     def test_one_block_is_one_dgeqrt(self, shape):
         # a matrix that fits in one block gets the bits of one dgeqrt of
-        # the whole whitened V, as svd_thin's QR path factors it
+        # the whole whitened V
         m, n = shape
         assert m <= block_rows(n)
         v, root_r = whitened_system(27, m, n)
@@ -283,8 +240,8 @@ class TestWhitenedR:
         v, root_r = whitened_system(28, m, n)
         tri = linalg.whitened_r(v, root_r)
         assert tri.shape == (n, n) and np.array_equal(tri, np.triu(tri))
-        want = svd_thin(v / root_r[:, None], compute_u=False)[1]
-        s = svd_thin(tri, compute_u=False)[1]
+        want = svd_thin(v / root_r[:, None])[1]
+        s = svd_thin(tri)[1]
         assert np.abs(s - want).max() <= 1e-13 * want[0]
 
 

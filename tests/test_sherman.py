@@ -195,7 +195,7 @@ class TestHostileInputs:
             assert_small_backward_error(r, v, d, solve)
 
     # the same bound where solve_svd takes the QR path: at least
-    # twice as many rows as columns and linalg.QR_MIN_SIZE entries
+    # twice as many rows as columns and solvers.QR_MIN_SIZE entries
     @settings(derandomize=True, deadline=None, max_examples=12)
     @given(seed=st.integers(0, 2**32 - 1), nobs=st.integers(2100, 4000),
            nens=st.integers(8, 40),
@@ -270,8 +270,8 @@ class TestWorkspace:
 
     def test_returned_z_outlives_the_next_solve(self):
         # the block buffer that P passes through is reused by the next
-        # solve of the same block shape, also by an SVD solve on svd_thin's
-        # QR path (1500x12); Z is not
+        # solve of the same block shape, also by an SVD solve on the QR
+        # path (1500x12); Z is not
         solve = {"sherman": solve_sherman, "svd": solve_svd}
         for first, then in [("sherman", "sherman"), ("sherman", "svd"),
                             ("svd", "sherman")]:

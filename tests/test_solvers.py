@@ -128,7 +128,7 @@ class TestSvdSolver:
         # the QR path's two passes over three and a half row blocks of
         # sherman.BLOCK_DOUBLES entries, at check_solver_agreement's bound
         nobs = 7 * (sherman.BLOCK_DOUBLES // nens) // 2
-        assert linalg.qr_path(nobs, nens)
+        assert solvers.qr_path(nobs, nens)
         r, v, d = verify.random_system(make_rng(15), nobs, nens)
         z_sher = solve_sherman(r, v, d).z
         z_svd = solve_svd(r, v, d).z
@@ -148,25 +148,44 @@ class TestSvdSolver:
         assert np.abs(z_sher - z_svd).max() <= 1e-8 * np.abs(z_sher).max()
 
     @pytest.mark.parametrize("nobs, nens", [(2000, 16), (4000, 40)])
-    def test_qr_path_never_forms_u(self, monkeypatch, nobs, nens):
+    def test_qr_path_never_forms_u(self, nobs, nens):
         # deviations of an ensemble: V has a zero singular value, which
-        # the ensemble-space form W diag(1/(1+s^2)) W' never divides by
+        # the ensemble-space form W diag(1/(1+s^2)) W' never divides by;
+        # it agrees with the U form built here from the whitened V
         rng = make_rng(16)
         r, _, d = verify.random_system(rng, nobs, nens)
         v = member_deviations(rng.standard_normal((nobs, nens)))
         root_r = np.sqrt(r)
-        u, s, _ = linalg.svd_thin(v / root_r[:, None], compute_u=True)
+        u, s, _ = linalg.svd_thin(v / root_r[:, None])
         assert s[-1] <= 1e-13 * s[0]
         white = d / root_r[:, None]
         z_u = (white + u @ ((1.0 / (s * s + 1.0) - 1.0)[:, None]
                             * (u.T @ white))) / root_r[:, None]
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("dgemqrt called")
-
-        monkeypatch.setattr(linalg.lapack, "dgemqrt", forbidden)
         z = solve_svd(r, v, d).z
         assert np.abs(z - z_u).max() <= 1e-13 * np.abs(z_u).max()
+
+    @pytest.mark.parametrize("shape, tall", [
+        ((40, 20), False), ((480, 20), False), ((1022, 16), False),
+        ((1024, 16), True), ((181, 91), False), ((182, 91), True),
+        ((128, 128), False), ((20, 1000), False), ((16384, 1), True),
+    ])
+    def test_each_side_of_the_cut_takes_its_form(self, monkeypatch, shape,
+                                                  tall):
+        # the W form factors whitened_r's triangle, the U form the whole
+        # whitened V
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return linalg.whitened_r(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "whitened_r", spy)
+        assert solvers.qr_path(*shape) == tall
+        r, v, d = verify.random_system(make_rng(26), *shape)
+        z_svd = solve_svd(r, v, d).z
+        assert calls == ([shape] if tall else [])
+        z_sher = solve_sherman(r, v, d).z
+        assert np.abs(z_sher - z_svd).max() <= 1e-8 * np.abs(z_sher).max()
 
     def test_single_column_agrees_with_sherman(self):
         r, v, d = verify.random_system(make_rng(12), 20, 1)
@@ -255,14 +274,20 @@ def test_overflow_raises_arithmetic_error(solver, dispatch):
 
 
 def test_svd_overflow_is_numerical_failure():
-    # dgesdd reports success on the inf matrix but returns s = [nan],
-    # which made all of Z NaN; on the QR path (2000x16) dgeqrt makes R NaN,
-    # also when only the last of three row blocks overflows (6144x64)
+    # finite input whose whitened V overflows: to inf, which svd_thin
+    # rejects (3x1, off the QR path); on the QR path (2000x16) dgeqrt
+    # makes the triangle NaN, also when V is finite but near the top of
+    # the range, and when only the last of three row blocks overflows
+    # (6144x64); and a finite 480x20 V near the top of the range, which
+    # dgesdd factors with success but whose singular values are inf and
+    # would make all of Z NaN
     r, v, d = verify.random_system(make_rng(13), 2000, 16)
     r3, v3, d3 = verify.random_system(make_rng(13), 3 * qr_block_rows(64), 64)
     r3[-1], v3[-1] = 1e-300, 1e200
+    r4, v4, d4 = verify.random_system(make_rng(14), 480, 20)
     for system in [overflow_system(), (1e-300 * r, 1e200 * v, d),
-                   (r3, v3, d3)]:
+                   (r3, v3, d3), (np.ones(2000), 1e307 * v, d),
+                   (np.ones(480), 1e307 * v4, d4)]:
         with pytest.raises(NumericalFailureError,
                            match="overflowed.*singular values"), \
                 np.errstate(over="ignore"):

@@ -243,6 +243,21 @@ def _metrics(path: Path) -> dict:
     return {tuple(row[:3]): tuple(map(float, row[3:])) for row in rows}
 
 
+def test_default_budget_gives_one_thread_bytes_on_lorenz_small(tmp_path):
+    # the bytes of metrics.csv hold for the same library build and the
+    # same per-copy thread counts: the default budget runs lorenz-small's
+    # solves at one thread per copy, as OPENBLAS_NUM_THREADS=1 does
+    for name, env in [("default", _fresh_env()),
+                      ("one", _fresh_env(OPENBLAS_NUM_THREADS="1"))]:
+        subprocess.run([sys.executable, "-m", "enkfkit.cli", "run", "--config",
+                        "lorenz-small", "--out", str(tmp_path / name)],
+                       env=env, capture_output=True, check=True)
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert set(manifest["blas_threads"].values()) == {1}
+    assert ((tmp_path / "default" / "metrics.csv").read_bytes()
+            == (tmp_path / "one" / "metrics.csv").read_bytes())
+
+
 def test_two_thread_drift_on_qg33_short(tmp_path):
     # the reproducibility contract holds per thread budget; across 1 and 2
     # threads only the rounding may move
